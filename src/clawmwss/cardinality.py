@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
-from .errors import ClawWitnessError, PreconditionError
+from .errors import PreconditionError
 from .graph import (
     Graph,
     NodeSet,
@@ -22,7 +22,7 @@ from .graph import (
     is_clique_or_witness,
     stable_in,
 )
-from .structure import classify, find_claw
+from .structure import classify
 
 
 @dataclass(frozen=True)
@@ -222,17 +222,12 @@ def extend_to_four(
     return None
 
 
-def stable_set_min_alpha4(g: Graph, validate: bool = False) -> StableSetReport:
+def stable_set_min_alpha4(g: Graph) -> StableSetReport:
     """Stable set of size min(alpha(G), 4) for a claw-free graph.
 
-    With ``validate`` the graph is first checked for claw-freeness
-    (ClawWitnessError on failure); otherwise claw-freeness is assumed and
-    only incidentally detected.
+    Claw-freeness is assumed and only incidentally detected (as
+    ClawWitnessError); ``mwss_alpha3(validate=True)`` checks it up front.
     """
-    if validate:
-        claw = find_claw(g)
-        if claw is not None:
-            raise ClawWitnessError(claw.center, claw.leaves)
     if g.n == 0:
         return StableSetReport(())
     pair = stable_pair(g)

@@ -47,6 +47,17 @@ def _load(path: str) -> tuple[Graph, list[int]]:
 _INPUT_ERRORS = (OSError, InstanceFormatError, UnicodeDecodeError)
 
 
+def _save(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; on failure print one error line instead."""
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         g, weights = _load(args.input)
@@ -68,7 +79,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         g, _ = _load(args.input)
-    except (OSError, InstanceFormatError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     claw = find_claw(g)
@@ -103,9 +114,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             print(f"error: certification failed: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
     text = write_instance(g, weights, comments=cert.comment_lines())
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(text)
-    return EXIT_OK
+    return EXIT_OK if _save(args.out, text) else EXIT_INPUT_ERROR
 
 
 @dataclass
@@ -196,10 +205,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     if summary.failures:
         first = summary.failures[0]
-        with open(args.dump, "w", encoding="ascii") as fh:
-            fh.write(f"c verify failure #{first.index}: {first.reason}\n")
-            fh.write(first.instance_text)
-        print(f"first failure dumped to {args.dump}", file=sys.stderr)
+        header = f"c verify failure #{first.index}: {first.reason}\n"
+        if _save(args.dump, header + first.instance_text):
+            print(f"first failure dumped to {args.dump}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return EXIT_OK
 
@@ -250,8 +258,8 @@ def render_csv(records: Sequence[BenchRecord]) -> str:
 def cmd_bench(args: argparse.Namespace) -> int:
     sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
     records = run_bench(sizes, args.seed)
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(render_csv(records))
+    if not _save(args.out, render_csv(records)):
+        return EXIT_INPUT_ERROR
     if records:
         ratios = [r.ratio for r in records]
         lo, hi = min(ratios), max(ratios)

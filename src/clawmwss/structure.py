@@ -4,6 +4,11 @@ Given a stable set T of size 2 or 3 (the "anchors"), every remaining node is
 adjacent to none, exactly one, or exactly two of them; a node adjacent to all
 three anchors would be the center of a claw.  The resulting partition is the
 structural input of the stable-set constructions.
+
+``find_claw`` is the full claw-freeness check behind ``solve --validate`` and
+``check``: O(sum deg^2) adjacency queries, exactly sum C(deg, 2) over nodes of
+degree >= 3 on a claw-free graph, with the witness fixed by scan order (center
+ascending, leaf pair in neighbor order, smallest third leaf).
 """
 
 from __future__ import annotations
@@ -43,9 +48,6 @@ class Classification:
 
     def shared_by(self, u: int, v: int) -> NodeSet:
         return self.shared[(u, v) if u < v else (v, u)]
-
-    def all_sets(self) -> list[NodeSet]:
-        return list(self.exclusive.values()) + list(self.shared.values()) + [self.detached]
 
 
 def classify(g: Graph, anchors: "NodeSet | Iterable[int]") -> Classification:
@@ -93,25 +95,40 @@ def classify(g: Graph, anchors: "NodeSet | Iterable[int]") -> Classification:
 def find_claw(g: Graph) -> Claw | None:
     """Find an induced claw, or None if the graph is claw-free.
 
-    Scans each center's neighborhood for an independent triple: every
-    non-adjacent neighbor pair is extended greedily by a third neighbor.
-    Worst case O(sum deg^3) queries; this is a validation routine, not part
-    of the solve path.
+    For each center c of degree d >= 3, asks ``g.adjacent`` once for each of
+    the C(d, 2) neighbor pairs and keeps the answers as one non-neighbor
+    bitmask per neighbor, indexed by position in ``g.neighbors(c)``.  For a
+    non-adjacent pair (i, j) the third leaf is then the lowest set bit of
+    ``non[i] & non[j]``.  A claw-free graph costs exactly sum C(d, 2)
+    queries over centers of degree >= 3, i.e. O(sum deg^2); this is a
+    validation routine, not part of the solve path.
+
+    The witness is the first claw in scan order: center ascending, then leaf
+    pairs (i < j) in neighbor order, then the smallest third leaf.
     """
+    adjacent = g.adjacent
     for center in range(g.n):
         nbrs = g.neighbors(center)
-        if len(nbrs) < 3:
+        d = len(nbrs)
+        if d < 3:
             continue
-        for i, x in enumerate(nbrs):
-            for j in range(i + 1, len(nbrs)):
-                y = nbrs[j]
-                if g.adjacent(x, y):
-                    continue
-                for z in nbrs:
-                    if z == x or z == y:
-                        continue
-                    if not g.adjacent(x, z) and not g.adjacent(y, z):
-                        return Claw(center, tuple(sorted((x, y, z))))
+        non = [0] * d
+        for i in range(d - 1):
+            x = nbrs[i]
+            for j in range(i + 1, d):
+                if not adjacent(x, nbrs[j]):
+                    non[i] |= 1 << j
+                    non[j] |= 1 << i
+        for i in range(d):
+            later = non[i] >> (i + 1) << (i + 1)
+            while later:
+                low = later & -later
+                j = low.bit_length() - 1
+                common = non[i] & non[j]
+                if common:
+                    k = (common & -common).bit_length() - 1
+                    return Claw(center, tuple(sorted((nbrs[i], nbrs[j], nbrs[k]))))
+                later ^= low
     return None
 
 

@@ -21,7 +21,7 @@ from clawmwss.cardinality import clique_neighbor_counts
 from clawmwss.gen import SplitMix64
 from clawmwss.graph import NodeSet
 
-from helpers import complete, cycle, random_clawfree, star
+from helpers import complete, cycle, random_clawfree
 
 
 def test_stable_pair_examples():
@@ -263,11 +263,6 @@ def test_report_examples():
     assert len(report.nodes) == 4
     assert stable_set_min_alpha4(build_graph(0, [])).nodes == ()
     assert stable_set_min_alpha4(build_graph(0, [])).exact_alpha == 0
-
-
-def test_report_validation_flag():
-    with pytest.raises(ClawWitnessError):
-        stable_set_min_alpha4(star(3), validate=True)
 
 
 def test_report_matches_brute_alpha_on_random_instances():

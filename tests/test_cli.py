@@ -95,6 +95,24 @@ def test_check_verdicts(tmp_path, capsys):
     assert capsys.readouterr().out == "NOT_CLAW_FREE center=1 leaves=2,3,4\n"
 
 
+def test_check_non_ascii_file_reports_error(tmp_path, capsys):
+    path = tmp_path / "cafe.txt"
+    path.write_bytes(b"c caf\xc3\xa9\np edge 1 0\n")
+    assert main(["check", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_gen_unwritable_out_reports_error(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "x.col"
+    assert main(["gen", "--size", "10", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_gen_writes_identical_bytes_for_same_seed(tmp_path):
     a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     args = ["gen", "--kind", "line_graph_cover3", "--size", "200", "--seed", "7"]
@@ -161,6 +179,19 @@ def test_verify_harness_detects_injected_fault(tmp_path, capsys, monkeypatch):
     dumped = dump.read_text(encoding="ascii")
     assert dumped.startswith("c verify failure #0")
     read_instance(dumped)  # the dump itself is a valid instance file
+
+
+def test_verify_unwritable_dump_reports_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "mwss_alpha3", lambda g, w: Optimal(nodes=(), weight=-1, dropped_negative=0)
+    )
+    dump = tmp_path / "missing_dir" / "dump.txt"
+    rc = main(["verify", "--count", "1", "--seed", "2", "--max-n", "10",
+               "--dump", str(dump)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not dump.exists()
 
 
 def test_bench_records_and_csv(tmp_path, capsys):

@@ -1,7 +1,9 @@
+from math import comb
 
 import pytest
 
 from clawmwss import (
+    Claw,
     ClawWitnessError,
     NodeSet,
     NotStableError,
@@ -9,9 +11,10 @@ from clawmwss import (
     build_graph,
     classify,
     find_claw,
+    generate,
     is_local,
 )
-from clawmwss.gen import SplitMix64
+from clawmwss.gen import GenSpec, SplitMix64
 
 from helpers import complete, cycle, random_clawfree, random_graph, star
 
@@ -33,6 +36,20 @@ def test_find_claw_is_deterministic():
     assert find_claw(g) == find_claw(g)
 
 
+def _first_claw(g):
+    """The first claw in (center, i < j, smallest k) order, by direct scan."""
+    for center in range(g.n):
+        nbrs = g.neighbors(center)
+        for i, x in enumerate(nbrs):
+            for y in nbrs[i + 1 :]:
+                if y in g.neighbor_set(x):
+                    continue
+                for z in nbrs:
+                    if z not in (x, y) and not {x, y} & g.neighbor_set(z):
+                        return Claw(center, tuple(sorted((x, y, z))))
+    return None
+
+
 def test_find_claw_agrees_with_brute_force():
     rng = SplitMix64(303)
     for _ in range(300):
@@ -40,6 +57,7 @@ def test_find_claw_agrees_with_brute_force():
         ours = find_claw(g)
         brute = brute_is_clawfree(g)
         assert (ours is None) == (brute is None)
+        assert ours == _first_claw(g)
         for claw in (ours, brute):
             if claw is None:
                 continue
@@ -49,6 +67,15 @@ def test_find_claw_agrees_with_brute_force():
             assert y not in g.neighbor_set(x)
             assert z not in g.neighbor_set(x)
             assert z not in g.neighbor_set(y)
+
+
+def test_find_claw_asks_each_neighbor_pair_once():
+    g, _, _ = generate(GenSpec(kind="line_graph_cover3", size=300, seed=5))
+    degrees = [g.degree(c) for c in range(g.n)]
+    assert max(degrees) >= 3
+    view = g.with_counter()
+    assert find_claw(view) is None
+    assert view.counter.count == sum(comb(d, 2) for d in degrees if d >= 3)
 
 
 def test_classify_c7_triple():
