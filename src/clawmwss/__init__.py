@@ -14,99 +14,31 @@ from .errors import (
     NotStableError,
     PreconditionError,
 )
-from .graph import (
-    Graph,
-    NodeSet,
-    NodeWeights,
-    QueryCounter,
-    build_graph,
-    induced_subgraph,
-    is_clique_or_witness,
-    is_null_to,
-    total_weight,
-)
+from .graph import Graph, build_graph
 from .instances import read_instance, write_instance
-from .structure import Claw, Classification, classify, find_claw, is_local
-from .cardinality import (
-    StableSetReport,
-    extend_to_four,
-    extend_to_three,
-    four_sets_stable,
-    stable_pair,
-    stable_set_min_alpha4,
-    three_sets_stable,
-)
-from .weighted import (
-    AlphaAtLeast4,
-    Optimal,
-    OrderedCliquePrefix,
-    SolveOutcome,
-    mwss_alpha3,
-    mwss_intersecting,
-    mwss_small,
-    mwss_type_cycle6,
-    mwss_type_iii,
-    mwss_type_path6,
-    weighted_three_sets,
-)
-from .oracles import (
-    brute_alpha_min4,
-    brute_is_clawfree,
-    brute_mwss,
-    brute_mwss_full,
-    is_stable_set,
-)
-from .gen import Certificate, GenSpec, SplitMix64, generate, line_graph, verify_certificate
+from .structure import Claw, find_claw
+from .cardinality import StableSetReport, stable_set_min_alpha4
+from .weighted import AlphaAtLeast4, Optimal, SolveOutcome, mwss_alpha3
+from .gen import GenSpec, generate
 
 __all__ = [
     "AlphaAtLeast4",
-    "Certificate",
     "Claw",
     "ClawMwssError",
     "ClawWitnessError",
-    "Classification",
     "GenSpec",
     "Graph",
     "InstanceFormatError",
-    "NodeSet",
-    "NodeWeights",
     "NotStableError",
     "Optimal",
-    "OrderedCliquePrefix",
     "PreconditionError",
-    "QueryCounter",
     "SolveOutcome",
-    "SplitMix64",
     "StableSetReport",
-    "brute_alpha_min4",
-    "brute_is_clawfree",
-    "brute_mwss",
-    "brute_mwss_full",
     "build_graph",
-    "classify",
-    "extend_to_four",
-    "extend_to_three",
     "find_claw",
-    "four_sets_stable",
     "generate",
-    "induced_subgraph",
-    "is_clique_or_witness",
-    "is_local",
-    "is_null_to",
-    "is_stable_set",
-    "line_graph",
     "mwss_alpha3",
-    "mwss_intersecting",
-    "mwss_small",
-    "mwss_type_cycle6",
-    "mwss_type_iii",
-    "mwss_type_path6",
     "read_instance",
-    "stable_pair",
     "stable_set_min_alpha4",
-    "three_sets_stable",
-    "total_weight",
-    "verify_certificate",
-    "weighted_three_sets",
     "write_instance",
 ]

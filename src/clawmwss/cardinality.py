@@ -9,19 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .graph import (
-    Graph,
-    NodeSet,
-    as_node_set,
-    ensure_clique,
-    ensure_disjoint,
-    ensure_null,
-    is_clique_or_witness,
-    stable_in,
-)
+from .graph import Graph, ensure_clique, ensure_disjoint, ensure_null, is_clique_or_witness
+from .oracles import is_stable_set
 from .structure import classify
 
 
@@ -42,7 +34,7 @@ class StableSetReport:
 
 
 def clique_neighbor_counts(
-    g: Graph, clique: NodeSet, probes: Iterable[int]
+    g: Graph, clique: Sequence[int], probes: Iterable[int]
 ) -> dict[int, int]:
     """For each probe node, how many clique members it is adjacent to."""
     counts = {}
@@ -71,10 +63,7 @@ def stable_pair(g: Graph) -> tuple[int, int] | None:
 
 
 def three_sets_stable(
-    g: Graph,
-    x_set: "NodeSet | Iterable[int]",
-    y_set: "NodeSet | Iterable[int]",
-    z_set: "NodeSet | Iterable[int]",
+    g: Graph, xs: Sequence[int], ys: Sequence[int], zs: Sequence[int]
 ) -> tuple[int, int, int] | None:
     """Stable triple with one node from each of X, Y and the clique Z.
 
@@ -84,9 +73,6 @@ def three_sets_stable(
     first such pair in scan order wins and the gap node with smallest
     position in Z completes it.  Returns None when no triple exists.
     """
-    xs = as_node_set(x_set)
-    ys = as_node_set(y_set)
-    zs = as_node_set(z_set)
     if __debug__:
         ensure_disjoint([(xs, "X"), (ys, "Y"), (zs, "Z")])
         ensure_clique(g, zs, "Z")
@@ -108,11 +94,7 @@ def three_sets_stable(
 
 
 def four_sets_stable(
-    g: Graph,
-    x_set: "NodeSet | Iterable[int]",
-    y_set: "NodeSet | Iterable[int]",
-    z_set: "NodeSet | Iterable[int]",
-    w_set: "NodeSet | Iterable[int]",
+    g: Graph, xs: Sequence[int], ys: Sequence[int], zs: Sequence[int], ws: Sequence[int]
 ) -> tuple[int, int, int, int] | None:
     """Stable 4-set with one node from each of X, Y, Z, W.
 
@@ -121,10 +103,6 @@ def four_sets_stable(
     to w's non-neighbors, and minimizing clique coverage within the
     restricted sets decides extendability.
     """
-    xs = as_node_set(x_set)
-    ys = as_node_set(y_set)
-    zs = as_node_set(z_set)
-    ws = as_node_set(w_set)
     if __debug__:
         ensure_disjoint([(xs, "X"), (ys, "Y"), (zs, "Z"), (ws, "W")])
         ensure_clique(g, zs, "Z")
@@ -179,9 +157,7 @@ def extend_to_three(g: Graph, pair: tuple[int, int]) -> tuple[int, int, int] | N
     return None
 
 
-def extend_to_four(
-    g: Graph, anchors: "NodeSet | Iterable[int]"
-) -> tuple[int, int, int, int] | None:
+def extend_to_four(g: Graph, anchors: Iterable[int]) -> tuple[int, int, int, int] | None:
     """Grow a stable triple to a stable 4-set, or None when alpha(G) = 3.
 
     After the detached-node and exclusive-set clique checks, a 4-set (if any)
@@ -239,5 +215,5 @@ def stable_set_min_alpha4(g: Graph) -> StableSetReport:
     else:
         quad = extend_to_four(g, triple)
         report = StableSetReport(triple if quad is None else quad)
-    assert stable_in(g, report.nodes), "internal error: result not stable"
+    assert is_stable_set(g, report.nodes), "internal error: result not stable"
     return report

@@ -207,16 +207,13 @@ def generate(spec: GenSpec) -> tuple[Graph, list[int], Certificate]:
     return g, weights, cert
 
 
-def verify_certificate(g: Graph, cert: Certificate, thorough: bool | None = None) -> None:
+def verify_certificate(g: Graph, cert: Certificate) -> None:
     """Check the structural certificate against the graph; raise ValueError
     on any discrepancy.
 
-    ``thorough`` additionally runs the brute-force claw and alpha oracles;
-    it defaults to on for graphs small enough to scan (n <= 80).
+    Graphs small enough to scan (n <= 80) also go through the brute-force
+    claw and alpha oracles.
     """
-    if thorough is None:
-        thorough = g.n <= 80
-
     if cert.kind == "line_graph_cover3":
         hedges = cert.detail["host_edges"]
         centers = set(cert.detail["centers"])
@@ -261,7 +258,7 @@ def verify_certificate(g: Graph, cert: Certificate, thorough: bool | None = None
     else:
         raise ValueError(f"unknown certificate kind {cert.kind!r}")
 
-    if thorough:
+    if g.n <= 80:
         claw = brute_is_clawfree(g)
         if claw is not None:
             raise ValueError(f"generated graph contains a claw at {claw.center}")

@@ -16,9 +16,13 @@ from .errors import PreconditionError
 
 NodeWeights = Sequence[int]
 
-# Instance files reject weights above this so that any 3-node sum fits
+# Weights above this in magnitude are rejected so that any 3-node sum fits
 # comfortably in signed 64-bit arithmetic.
 WEIGHT_LIMIT = 1 << 61
+
+# Instance headers declaring more nodes than this are rejected before any
+# per-node storage is allocated.
+NODE_LIMIT = 1 << 20
 
 
 class QueryCounter:
@@ -31,56 +35,6 @@ class QueryCounter:
 
     def __repr__(self) -> str:
         return f"QueryCounter({self.count})"
-
-
-class NodeSet:
-    """Ordered collection of distinct node ids with O(1) membership."""
-
-    __slots__ = ("_order", "_members")
-
-    def __init__(self, nodes: Iterable[int] = ()):
-        order = tuple(nodes)
-        members = frozenset(order)
-        if len(members) != len(order):
-            raise ValueError("duplicate node ids in NodeSet")
-        self._order = order
-        self._members = members
-
-    def __contains__(self, v: object) -> bool:
-        return v in self._members
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._order)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __getitem__(self, i: int) -> int:
-        return self._order[i]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, NodeSet):
-            return self._members == other._members
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._members)
-
-    def __repr__(self) -> str:
-        return f"NodeSet({list(self._order)!r})"
-
-    @property
-    def members(self) -> frozenset[int]:
-        return self._members
-
-    def sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self._order))
-
-
-def as_node_set(nodes: "NodeSet | Iterable[int]") -> NodeSet:
-    if isinstance(nodes, NodeSet):
-        return nodes
-    return NodeSet(nodes)
 
 
 class Graph:
@@ -164,49 +118,40 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, adj, memb, m)
 
 
-def is_clique_or_witness(
-    g: Graph, nodes: "NodeSet | Iterable[int]"
-) -> tuple[int, int] | None:
+def is_clique_or_witness(g: Graph, nodes: Sequence[int]) -> tuple[int, int] | None:
     """Return None if the given nodes are pairwise adjacent, else one
     non-adjacent pair (the first in scan order).
 
     Costs O(k^2) adjacency queries for k nodes.  Empty and singleton sets
     are cliques vacuously.
     """
-    ns = as_node_set(nodes)
-    order = list(ns)
-    for i, u in enumerate(order):
-        for v in order[i + 1 :]:
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1 :]:
             if not g.adjacent(u, v):
                 return (u, v)
     return None
 
 
-def is_null_to(
-    g: Graph, a: "NodeSet | Iterable[int]", b: "NodeSet | Iterable[int]"
-) -> tuple[int, int] | None:
+def is_null_to(g: Graph, a: Sequence[int], b: Sequence[int]) -> tuple[int, int] | None:
     """Return None if no edge crosses between disjoint sets a and b, else one
     crossing edge (u, v) with u in a, v in b."""
-    sa = as_node_set(a)
-    sb = as_node_set(b)
-    if sa.members & sb.members:
+    if not set(a).isdisjoint(b):
         raise PreconditionError("is_null_to requires disjoint sets")
-    for u in sa:
-        for v in sb:
+    for u in a:
+        for v in b:
             if g.adjacent(u, v):
                 return (u, v)
     return None
 
 
-def induced_subgraph(
-    g: Graph, keep: "NodeSet | Iterable[int]"
-) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced by ``keep``, plus the old-id -> new-id map.
+def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
+    """Subgraph induced by the distinct nodes of ``keep``, plus the old-id ->
+    new-id map.
 
     New ids are assigned in ascending order of old id, so the map is
     monotone increasing.
     """
-    kept = sorted(as_node_set(keep))
+    kept = sorted(set(keep))
     idmap = {old: new for new, old in enumerate(kept)}
     edges = []
     for old in kept:
@@ -222,35 +167,32 @@ def total_weight(weights: NodeWeights, nodes: Iterable[int]) -> int:
 
 
 def check_weights(g: Graph, weights: NodeWeights) -> None:
+    """Enforce the library weight contract: one plain ``int`` per node (not
+    a ``bool``), each of magnitude at most WEIGHT_LIMIT."""
     if len(weights) != g.n:
         raise ValueError(
             f"weight vector length {len(weights)} does not match node count {g.n}"
         )
+    for v, w in enumerate(weights):
+        if type(w) is not int:
+            raise ValueError(f"weight of node {v} is not an int: {w!r}")
+        if abs(w) > WEIGHT_LIMIT:
+            raise ValueError(f"weight of node {v} exceeds {WEIGHT_LIMIT} in magnitude")
 
 
-def stable_in(g: Graph, nodes: Iterable[int]) -> bool:
-    """Pairwise non-adjacency via the membership structure (uncounted)."""
-    seen: list[int] = []
-    for u in nodes:
-        for v in seen:
-            if v == u or v in g.neighbor_set(u):
-                return False
-        seen.append(u)
-    return True
-
-
-def ensure_disjoint(named_sets: Sequence[tuple[NodeSet, str]]) -> None:
-    for i, (a, na) in enumerate(named_sets):
-        for b, nb in named_sets[i + 1 :]:
-            if a.members & b.members:
+def ensure_disjoint(named_sets: Sequence[tuple[Sequence[int], str]]) -> None:
+    members = [(set(nodes), name) for nodes, name in named_sets]
+    for i, (a, na) in enumerate(members):
+        for b, nb in members[i + 1 :]:
+            if not a.isdisjoint(b):
                 raise PreconditionError(f"{na} and {nb} must be disjoint")
 
 
-def ensure_clique(g: Graph, nodes: NodeSet, name: str) -> None:
+def ensure_clique(g: Graph, nodes: Sequence[int], name: str) -> None:
     if is_clique_or_witness(g, nodes) is not None:
         raise PreconditionError(f"{name} must be a clique")
 
 
-def ensure_null(g: Graph, a: NodeSet, b: NodeSet, names: str) -> None:
+def ensure_null(g: Graph, a: Sequence[int], b: Sequence[int], names: str) -> None:
     if is_null_to(g, a, b) is not None:
         raise PreconditionError(f"{names} must have no crossing edges")

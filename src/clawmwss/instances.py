@@ -16,7 +16,7 @@ import io
 from typing import IO, Sequence
 
 from .errors import InstanceFormatError
-from .graph import WEIGHT_LIMIT, Graph, build_graph
+from .graph import NODE_LIMIT, WEIGHT_LIMIT, Graph, build_graph
 
 
 def _parse_int(token: str, line_no: int, what: str) -> int:
@@ -58,6 +58,8 @@ def read_instance(stream: IO[str] | str) -> tuple[Graph, list[int]]:
             m_declared = _parse_int(parts[3], line_no, "edge count")
             if n < 0 or m_declared < 0:
                 raise InstanceFormatError(line_no, "negative count in problem line")
+            if n > NODE_LIMIT:
+                raise InstanceFormatError(line_no, f"node count {n} exceeds {NODE_LIMIT}")
             weights = [1] * n
         elif kind == "n":
             if n < 0:

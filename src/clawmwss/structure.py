@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import ClawWitnessError, NotStableError
-from .graph import Graph, NodeSet, as_node_set
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -39,18 +39,18 @@ class Classification:
     """
 
     anchors: tuple[int, ...]
-    exclusive: dict[int, NodeSet]
-    shared: dict[tuple[int, int], NodeSet]
-    detached: NodeSet
+    exclusive: dict[int, tuple[int, ...]]
+    shared: dict[tuple[int, int], tuple[int, ...]]
+    detached: tuple[int, ...]
 
-    def exclusive_to(self, v: int) -> NodeSet:
+    def exclusive_to(self, v: int) -> tuple[int, ...]:
         return self.exclusive[v]
 
-    def shared_by(self, u: int, v: int) -> NodeSet:
+    def shared_by(self, u: int, v: int) -> tuple[int, ...]:
         return self.shared[(u, v) if u < v else (v, u)]
 
 
-def classify(g: Graph, anchors: "NodeSet | Iterable[int]") -> Classification:
+def classify(g: Graph, anchors: Iterable[int]) -> Classification:
     """Classify V minus T by adjacency to each anchor of the stable set T.
 
     One pass over the nodes, at most |T| adjacency queries each.  Raises
@@ -58,7 +58,10 @@ def classify(g: Graph, anchors: "NodeSet | Iterable[int]") -> Classification:
     ClawWitnessError if some node is adjacent to all three anchors (that node
     is the center of a claw whose leaves are T).
     """
-    t = tuple(sorted(as_node_set(anchors)))
+    t = tuple(sorted(anchors))
+    t_members = set(t)
+    if len(t_members) != len(t):
+        raise ValueError(f"duplicate anchor in {list(t)}")
     if len(t) not in (2, 3):
         raise ValueError(f"anchor set must have size 2 or 3, got {len(t)}")
     for a, b in combinations(t, 2):
@@ -70,7 +73,6 @@ def classify(g: Graph, anchors: "NodeSet | Iterable[int]") -> Classification:
         pair: [] for pair in combinations(t, 2)
     }
     detached: list[int] = []
-    t_members = set(t)
     for x in range(g.n):
         if x in t_members:
             continue
@@ -86,9 +88,9 @@ def classify(g: Graph, anchors: "NodeSet | Iterable[int]") -> Classification:
 
     return Classification(
         anchors=t,
-        exclusive={v: NodeSet(nodes) for v, nodes in exclusive.items()},
-        shared={pair: NodeSet(nodes) for pair, nodes in shared.items()},
-        detached=NodeSet(detached),
+        exclusive={v: tuple(nodes) for v, nodes in exclusive.items()},
+        shared={pair: tuple(nodes) for pair, nodes in shared.items()},
+        detached=tuple(detached),
     )
 
 
@@ -129,14 +131,4 @@ def find_claw(g: Graph) -> Claw | None:
                     k = (common & -common).bit_length() - 1
                     return Claw(center, tuple(sorted((nbrs[i], nbrs[j], nbrs[k]))))
                 later ^= low
-    return None
-
-
-def is_local(g: Graph, nodes: "NodeSet | Iterable[int]") -> int | None:
-    """Smallest node u whose closed neighborhood contains all given nodes,
-    or None if no such node exists.  Test-support routine, O(n * |X|)."""
-    ns = as_node_set(nodes)
-    for u in range(g.n):
-        if all(x == u or g.adjacent(u, x) for x in ns):
-            return u
     return None

@@ -21,17 +21,15 @@ from .cardinality import stable_set_min_alpha4
 from .errors import ClawWitnessError, NotStableError
 from .graph import (
     Graph,
-    NodeSet,
-    as_node_set,
     check_weights,
     ensure_clique,
     ensure_disjoint,
     induced_subgraph,
     is_clique_or_witness,
     is_null_to,
-    stable_in,
     total_weight,
 )
+from .oracles import is_stable_set
 from .structure import Classification, classify, find_claw
 
 
@@ -53,15 +51,47 @@ class Optimal:
 
 SolveOutcome = AlphaAtLeast4 | Optimal
 
-# Candidates are (weight, sorted node tuple); higher weight wins, ties go to
-# the lexicographically smaller tuple.
-_Candidate = tuple[int, tuple[int, ...]]
+# A search result: (sorted node tuple, total weight).
+Found = tuple[tuple[int, ...], int]
 
 
-def _better(cand: _Candidate, best: _Candidate | None) -> bool:
-    if best is None:
-        return True
-    return cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1])
+class _Best:
+    """Running best candidate: higher weight wins, ties go to the
+    lexicographically smaller node tuple."""
+
+    __slots__ = ("nodes", "weight")
+
+    def __init__(self) -> None:
+        self.nodes: tuple[int, ...] | None = None
+        self.weight = 0
+
+    def offer(self, nodes: tuple[int, ...], weight: int) -> None:
+        """Compare ``nodes`` as given.  Every caller passes a sorted tuple
+        except ``weighted_three_sets``, which breaks ties on (x, y, z)."""
+        if (
+            self.nodes is None
+            or weight > self.weight
+            or (weight == self.weight and nodes < self.nodes)
+        ):
+            self.nodes = nodes
+            self.weight = weight
+
+    def add(self, found: Found | None) -> None:
+        """Offer a search result, with its nodes sorted."""
+        if found is not None:
+            self.offer(tuple(sorted(found[0])), found[1])
+
+    def result(self) -> Found | None:
+        return None if self.nodes is None else (self.nodes, self.weight)
+
+
+def _offer_pairs(g: Graph, weights: Sequence[int], nodes: list[int], best: _Best) -> None:
+    """Offer every non-adjacent pair of the ascending ``nodes``."""
+    for i, a in enumerate(nodes):
+        wa = weights[a]
+        for b in nodes[i + 1 :]:
+            if not g.adjacent(a, b):
+                best.offer((a, b), wa + weights[b])
 
 
 class OrderedCliquePrefix:
@@ -84,7 +114,7 @@ class OrderedCliquePrefix:
         cls,
         g: Graph,
         weights: Sequence[int],
-        clique: NodeSet,
+        clique: Sequence[int],
         probes: Iterable[int],
     ) -> "OrderedCliquePrefix":
         order = tuple(sorted(clique, key=lambda z: (-weights[z], z)))
@@ -101,11 +131,7 @@ class OrderedCliquePrefix:
 
 
 def weighted_three_sets(
-    g: Graph,
-    weights: Sequence[int],
-    x_set: "NodeSet | Iterable[int]",
-    y_set: "NodeSet | Iterable[int]",
-    z_set: "NodeSet | Iterable[int]",
+    g: Graph, weights: Sequence[int], xs: Sequence[int], ys: Sequence[int], zs: Sequence[int]
 ) -> tuple[tuple[int, int, int], int] | None:
     """Maximum-weight stable triple (x, y, z) over X x Y x the clique Z.
 
@@ -114,9 +140,6 @@ def weighted_three_sets(
     that index is found by binary search.  Returns the best triple with its
     weight, or None when no stable triple exists.
     """
-    xs = as_node_set(x_set)
-    ys = as_node_set(y_set)
-    zs = as_node_set(z_set)
     if __debug__:
         ensure_disjoint([(xs, "X"), (ys, "Y"), (zs, "Z")])
         ensure_clique(g, zs, "Z")
@@ -125,7 +148,7 @@ def weighted_three_sets(
     prefix = OrderedCliquePrefix.build(g, weights, zs, chain(xs, ys))
     order = prefix.order
     p = len(order)
-    best: tuple[int, tuple[int, int, int]] | None = None
+    best = _Best()
     for x in xs:
         row_x = prefix.counts[x]
         wx = weights[x]
@@ -143,46 +166,27 @@ def weighted_three_sets(
                 else:
                     lo = mid + 1
             z = order[lo - 1]
-            cand = (wx + weights[y] + weights[z], (x, y, z))
-            if best is None or cand[0] > best[0] or (
-                cand[0] == best[0] and cand[1] < best[1]
-            ):
-                best = cand
-    if best is None:
-        return None
-    return best[1], best[0]
+            best.offer((x, y, z), wx + weights[y] + weights[z])
+    return best.result()
 
 
-def mwss_small(
-    g: Graph, weights: Sequence[int], pool: "NodeSet | Iterable[int]"
-) -> tuple[tuple[int, ...], int] | None:
+def mwss_small(g: Graph, weights: Sequence[int], pool: Iterable[int]) -> Found | None:
     """Best stable set of size 1 or 2 inside the pool, by exhaustive scan.
 
     None when the pool is empty.  O(|pool|^2) adjacency queries; affordable
     because node counts are O(sqrt(m)) whenever alpha <= 3.
     """
-    nodes = sorted(as_node_set(pool))
-    if not nodes:
-        return None
-    best: _Candidate | None = None
+    nodes = sorted(pool)
+    best = _Best()
     for v in nodes:
-        cand = (weights[v], (v,))
-        if _better(cand, best):
-            best = cand
-    for i, a in enumerate(nodes):
-        wa = weights[a]
-        for b in nodes[i + 1 :]:
-            if not g.adjacent(a, b):
-                cand = (wa + weights[b], (a, b))
-                if _better(cand, best):
-                    best = cand
-    assert best is not None
-    return best[1], best[0]
+        best.offer((v,), weights[v])
+    _offer_pairs(g, weights, nodes, best)
+    return best.result()
 
 
 def mwss_intersecting(
-    g: Graph, weights: Sequence[int], anchors: "NodeSet | Iterable[int]"
-) -> tuple[tuple[int, ...], int] | None:
+    g: Graph, weights: Sequence[int], anchors: Iterable[int]
+) -> Found | None:
     """Best stable set meeting the stable triple T.
 
     For each anchor v the remaining members must be non-neighbors of v, so
@@ -190,54 +194,38 @@ def mwss_intersecting(
     containing v (other anchors stay in the pool: sets with two or three
     anchors surface in several iterations, which is harmless).
     """
-    t = tuple(sorted(as_node_set(anchors)))
+    t = tuple(sorted(anchors))
     for a, b in combinations(t, 2):
         if g.adjacent(a, b):
             raise NotStableError(a, b)
-    best: _Candidate | None = None
+    best = _Best()
     for v in t:
         pool = [x for x in range(g.n) if x != v and not g.adjacent(v, x)]
-        cand = (weights[v], (v,))
-        if _better(cand, best):
-            best = cand
+        best.offer((v,), weights[v])
         sub = mwss_small(g, weights, pool)
         if sub is not None:
-            nodes, w = sub
-            cand = (weights[v] + w, tuple(sorted((v,) + nodes)))
-            if _better(cand, best):
-                best = cand
-    if best is None:
-        return None
-    return best[1], best[0]
+            best.add(((v,) + sub[0], weights[v] + sub[1]))
+    return best.result()
 
 
-def mwss_type_path6(
-    g: Graph, weights: Sequence[int], cls: Classification
-) -> tuple[tuple[int, ...], int] | None:
+def mwss_type_path6(g: Graph, weights: Sequence[int], cls: Classification) -> Found | None:
     """Best stable triple alternating with the anchors along a 6-node path.
 
     The path (a, x, b, y, c, z) forces x into the (a,b)-shared set, y into
     the (b,c)-shared set and z into the exclusive set of c; all six anchor
     orders are tried.
     """
-    best: _Candidate | None = None
+    best = _Best()
     for a, b, c in permutations(cls.anchors):
-        found = weighted_three_sets(
-            g, weights, cls.shared_by(a, b), cls.shared_by(b, c), cls.exclusive_to(c)
+        best.add(
+            weighted_three_sets(
+                g, weights, cls.shared_by(a, b), cls.shared_by(b, c), cls.exclusive_to(c)
+            )
         )
-        if found is not None:
-            nodes, w = found
-            cand = (w, tuple(sorted(nodes)))
-            if _better(cand, best):
-                best = cand
-    if best is None:
-        return None
-    return best[1], best[0]
+    return best.result()
 
 
-def mwss_type_cycle6(
-    g: Graph, weights: Sequence[int], cls: Classification
-) -> tuple[tuple[int, ...], int] | None:
+def mwss_type_cycle6(g: Graph, weights: Sequence[int], cls: Classification) -> Found | None:
     """Best stable triple alternating with the anchors along a 6-cycle.
 
     The triple takes one node from each shared set.  When the (t,u)-shared
@@ -253,47 +241,35 @@ def mwss_type_cycle6(
 
     witness = is_clique_or_witness(g, y_mid)
     if witness is None:
-        found = weighted_three_sets(g, weights, x_side, z_side, y_mid)
-        if found is None:
-            return None
-        nodes, w = found
-        return tuple(sorted(nodes)), w
+        searches = [(x_side, z_side, y_mid)]
+    else:
+        v, v_prime = witness
+        half1: list[int] = []
+        half2: list[int] = []
+        for q in z_side:
+            hit1 = g.adjacent(q, v)
+            hit2 = g.adjacent(q, v_prime)
+            if hit1 and hit2:
+                raise ClawWitnessError(q, (s, v, v_prime))
+            if not hit1 and not hit2:
+                raise ClawWitnessError(u, (q, v, v_prime))
+            (half1 if hit1 else half2).append(q)
+        if __debug__:
+            bad = is_clique_or_witness(g, half1)
+            if bad is not None:
+                raise ClawWitnessError(u, (bad[0], bad[1], v_prime))
+            bad = is_clique_or_witness(g, half2)
+            if bad is not None:
+                raise ClawWitnessError(u, (bad[0], bad[1], v))
+        searches = [(x_side, y_mid, half1), (x_side, y_mid, half2)]
 
-    v, v_prime = witness
-    half1: list[int] = []
-    half2: list[int] = []
-    for q in z_side:
-        hit1 = g.adjacent(q, v)
-        hit2 = g.adjacent(q, v_prime)
-        if hit1 and hit2:
-            raise ClawWitnessError(q, (s, v, v_prime))
-        if not hit1 and not hit2:
-            raise ClawWitnessError(u, (q, v, v_prime))
-        (half1 if hit1 else half2).append(q)
-    if __debug__:
-        bad = is_clique_or_witness(g, half1)
-        if bad is not None:
-            raise ClawWitnessError(u, (bad[0], bad[1], v_prime))
-        bad = is_clique_or_witness(g, half2)
-        if bad is not None:
-            raise ClawWitnessError(u, (bad[0], bad[1], v))
-
-    best: _Candidate | None = None
-    for half in (half1, half2):
-        found = weighted_three_sets(g, weights, x_side, y_mid, half)
-        if found is not None:
-            nodes, w = found
-            cand = (w, tuple(sorted(nodes)))
-            if _better(cand, best):
-                best = cand
-    if best is None:
-        return None
-    return best[1], best[0]
+    best = _Best()
+    for xs, ys, zs in searches:
+        best.add(weighted_three_sets(g, weights, xs, ys, zs))
+    return best.result()
 
 
-def mwss_type_iii(
-    g: Graph, weights: Sequence[int], cls: Classification
-) -> tuple[tuple[int, ...], int] | None:
+def mwss_type_iii(g: Graph, weights: Sequence[int], cls: Classification) -> Found | None:
     """Best stable triple whose anchor alternation includes a 2-node path.
 
     The lone anchor a contributes a node from its exclusive set; the other
@@ -303,44 +279,27 @@ def mwss_type_iii(
     set, so the heaviest node and the heaviest non-adjacent pair combine
     freely.
     """
-    best: _Candidate | None = None
-
-    def consider(found: tuple[tuple[int, ...], int] | None) -> None:
-        nonlocal best
-        if found is not None:
-            nodes, w = found
-            cand = (w, tuple(sorted(nodes)))
-            if _better(cand, best):
-                best = cand
-
+    best = _Best()
     for a in cls.anchors:
         b, c = (x for x in cls.anchors if x != a)
         f_a = cls.exclusive_to(a)
         shared_bc = cls.shared_by(b, c)
-        consider(
+        best.add(
             weighted_three_sets(g, weights, cls.exclusive_to(b), cls.exclusive_to(c), f_a)
         )
-        consider(weighted_three_sets(g, weights, shared_bc, cls.exclusive_to(c), f_a))
-        consider(weighted_three_sets(g, weights, shared_bc, cls.exclusive_to(b), f_a))
+        best.add(weighted_three_sets(g, weights, shared_bc, cls.exclusive_to(c), f_a))
+        best.add(weighted_three_sets(g, weights, shared_bc, cls.exclusive_to(b), f_a))
         if f_a and len(shared_bc) >= 2:
             if __debug__:
                 crossing = is_null_to(g, f_a, shared_bc)
                 if crossing is not None:
                     raise ClawWitnessError(crossing[1], (crossing[0], b, c))
             z = min(f_a, key=lambda node: (-weights[node], node))
-            pair_best: _Candidate | None = None
-            members = sorted(shared_bc)
-            for i, pa in enumerate(members):
-                for pb in members[i + 1 :]:
-                    if not g.adjacent(pa, pb):
-                        cand = (weights[pa] + weights[pb], (pa, pb))
-                        if _better(cand, pair_best):
-                            pair_best = cand
-            if pair_best is not None:
-                consider((pair_best[1] + (z,), pair_best[0] + weights[z]))
-    if best is None:
-        return None
-    return best[1], best[0]
+            pair = _Best()
+            _offer_pairs(g, weights, sorted(shared_bc), pair)
+            if pair.nodes is not None:
+                best.add((pair.nodes + (z,), pair.weight + weights[z]))
+    return best.result()
 
 
 def mwss_alpha3(
@@ -354,6 +313,9 @@ def mwss_alpha3(
     meeting a maximum stable triple, the three disjoint-triple shapes, all
     small stable sets, and the empty set.  Weights are reported against the
     original graph; node ids in the outcome are original ids.
+
+    Raises ValueError unless ``weights`` holds one ``int`` (not a ``bool``)
+    per node, each of magnitude at most 2^61.
     """
     check_weights(g, weights)
     if validate:
@@ -372,11 +334,10 @@ def mwss_alpha3(
         witness = tuple(sorted(keep[x] for x in report.nodes))
         return AlphaAtLeast4(witness)
 
-    best: _Candidate = (0, ())
+    best = _Best()
+    best.offer((), 0)
     if report.exact_alpha is not None and report.exact_alpha >= 1:
-        found = mwss_small(sub, sub_weights, range(sub.n))
-        if found is not None and _better((found[1], found[0]), best):
-            best = (found[1], found[0])
+        best.add(mwss_small(sub, sub_weights, range(sub.n)))
     if report.exact_alpha == 3:
         anchors = report.nodes
         cls = classify(sub, anchors)
@@ -387,10 +348,9 @@ def mwss_alpha3(
             mwss_type_cycle6(sub, sub_weights, cls),
             mwss_type_iii(sub, sub_weights, cls),
         ):
-            if found is not None and _better((found[1], found[0]), best):
-                best = (found[1], found[0])
+            best.add(found)
 
-    nodes = tuple(sorted(keep[x] for x in best[1]))
-    assert stable_in(g, nodes), "internal error: result not stable"
-    assert total_weight(weights, nodes) == best[0], "internal error: weight mismatch"
-    return Optimal(nodes=nodes, weight=best[0], dropped_negative=dropped)
+    nodes = tuple(sorted(keep[x] for x in best.nodes))
+    assert is_stable_set(g, nodes), "internal error: result not stable"
+    assert total_weight(weights, nodes) == best.weight, "internal error: weight mismatch"
+    return Optimal(nodes=nodes, weight=best.weight, dropped_negative=dropped)

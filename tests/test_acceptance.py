@@ -12,19 +12,12 @@ from math import log2
 import pytest
 
 import clawmwss.cli as cli
-from clawmwss import (
-    brute_alpha_min4,
-    brute_is_clawfree,
-    build_graph,
-    classify,
-    find_claw,
-    is_stable_set,
-    stable_set_min_alpha4,
-    weighted_three_sets,
-)
+from clawmwss import build_graph, find_claw, stable_set_min_alpha4
 from clawmwss.cardinality import clique_neighbor_counts
 from clawmwss.cli import main, run_bench, verify_instances
 from clawmwss.gen import GenSpec, KINDS, SplitMix64, generate, sample_spec
+from clawmwss.oracles import brute_alpha_min4, brute_is_clawfree, is_stable_set
+from clawmwss.structure import classify
 from clawmwss.weighted import OrderedCliquePrefix
 
 from helpers import random_graph

@@ -6,20 +6,20 @@ from clawmwss import (
     ClawWitnessError,
     NotStableError,
     PreconditionError,
-    brute_alpha_min4,
     build_graph,
-    classify,
+    stable_set_min_alpha4,
+)
+from clawmwss.cardinality import (
+    clique_neighbor_counts,
     extend_to_four,
     extend_to_three,
     four_sets_stable,
-    is_stable_set,
     stable_pair,
-    stable_set_min_alpha4,
     three_sets_stable,
 )
-from clawmwss.cardinality import clique_neighbor_counts
 from clawmwss.gen import SplitMix64
-from clawmwss.graph import NodeSet
+from clawmwss.oracles import brute_alpha_min4, is_stable_set
+from clawmwss.structure import classify
 
 from helpers import complete, cycle, random_clawfree
 
@@ -275,7 +275,7 @@ def test_report_matches_brute_alpha_on_random_instances():
 
 
 def test_report_exhaustive_small_graphs():
-    from clawmwss import brute_is_clawfree
+    from clawmwss.oracles import brute_is_clawfree
 
     for n in range(0, 6):
         pairs = list(itertools.combinations(range(n), 2))
@@ -289,7 +289,9 @@ def test_report_exhaustive_small_graphs():
             assert is_stable_set(g, report.nodes)
 
 
-def test_nodeset_inputs_accepted():
+def test_classify_takes_plain_iterables_and_rejects_duplicate_anchors():
     g = cycle(7)
-    cls = classify(g, NodeSet([0, 2]))
-    assert list(cls.shared_by(0, 2)) == [1]
+    assert classify(g, [2, 0]).shared_by(0, 2) == (1,)
+    assert classify(g, (v for v in (4, 0, 2))).exclusive_to(0) == (6,)
+    with pytest.raises(ValueError, match="duplicate anchor"):
+        classify(g, [0, 2, 2])

@@ -3,6 +3,7 @@ import pytest
 import clawmwss.cli as cli
 from clawmwss import Optimal, read_instance, write_instance
 from clawmwss.cli import BenchRecord, main, render_csv, run_bench, verify_instances
+from clawmwss.graph import NODE_LIMIT
 
 from helpers import cycle, star
 
@@ -71,6 +72,18 @@ def test_solve_malformed_file_reports_line(tmp_path, capsys):
     rc = main(["solve", "--input", str(path)])
     assert rc == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def test_solve_rejects_node_count_above_limit(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"p edge {NODE_LIMIT + 1} 0\n", encoding="ascii")
+    rc = main(["solve", "--input", str(path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: line 1: node count")
 
 
 def test_solve_output_is_byte_deterministic(tmp_path, capsys):

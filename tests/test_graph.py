@@ -1,17 +1,9 @@
 import pytest
 
-from clawmwss import (
-    Graph,
-    NodeSet,
-    PreconditionError,
-    build_graph,
-    classify,
-    induced_subgraph,
-    is_clique_or_witness,
-    is_null_to,
-    stable_set_min_alpha4,
-)
+from clawmwss import Graph, PreconditionError, build_graph, stable_set_min_alpha4
 from clawmwss.gen import SplitMix64
+from clawmwss.graph import induced_subgraph, is_clique_or_witness, is_null_to
+from clawmwss.structure import classify
 
 from helpers import complete, cycle, edge_set, random_graph
 
@@ -87,15 +79,6 @@ def test_with_counter_shares_structure_not_counts():
     assert view.counter.count == 1
     assert g.counter.count == 0
     assert view.neighbors(0) == g.neighbors(0)
-
-
-def test_nodeset_basics():
-    s = NodeSet([3, 1, 2])
-    assert list(s) == [3, 1, 2]
-    assert 2 in s and 0 not in s
-    assert s.sorted() == (1, 2, 3)
-    with pytest.raises(ValueError):
-        NodeSet([1, 1])
 
 
 def test_clique_witness_examples():

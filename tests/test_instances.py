@@ -2,7 +2,7 @@ import pytest
 
 from clawmwss import InstanceFormatError, read_instance, write_instance
 from clawmwss.gen import SplitMix64
-from clawmwss.graph import WEIGHT_LIMIT
+from clawmwss.graph import NODE_LIMIT, WEIGHT_LIMIT
 
 from helpers import edge_set, random_clawfree, random_graph
 
@@ -38,6 +38,7 @@ def test_read_negative_weights():
         ("p edge x 1\n", 1, "not an integer"),
         ("p edge 2\n", 1, "malformed problem line"),
         ("p node 2 1\n", 1, "malformed problem line"),
+        (f"c\np edge {NODE_LIMIT + 1} 0\n", 2, f"exceeds {NODE_LIMIT}"),
         ("p edge 2 1\nn 3 4\n", 2, "out of range"),
         ("p edge 2 1\nn 1 4.5\n", 2, "not an integer"),
         ("p edge 2 0\nn 1 4\nn 1 5\n", 3, "duplicate weight"),

@@ -1,19 +1,20 @@
 import pytest
 
-from clawmwss import (
+from clawmwss import build_graph, generate, read_instance, write_instance
+from clawmwss.gen import (
+    GenSpec,
+    SplitMix64,
+    line_graph,
+    sample_spec,
+    verify_certificate,
+)
+from clawmwss.oracles import (
     brute_alpha_min4,
     brute_is_clawfree,
     brute_mwss,
     brute_mwss_full,
-    build_graph,
-    generate,
     is_stable_set,
-    line_graph,
-    read_instance,
-    verify_certificate,
-    write_instance,
 )
-from clawmwss.gen import GenSpec, SplitMix64, sample_spec
 
 from helpers import complete, cycle, edge_set, random_graph, star
 

@@ -5,16 +5,14 @@ import pytest
 from clawmwss import (
     Claw,
     ClawWitnessError,
-    NodeSet,
     NotStableError,
-    brute_is_clawfree,
     build_graph,
-    classify,
     find_claw,
     generate,
-    is_local,
 )
 from clawmwss.gen import GenSpec, SplitMix64
+from clawmwss.oracles import brute_is_clawfree
+from clawmwss.structure import classify
 
 from helpers import complete, cycle, random_clawfree, random_graph, star
 
@@ -173,13 +171,3 @@ def _named_sets(cls):
     for pair, nodes in cls.shared.items():
         yield f"shared:{pair}", nodes
     yield "detached", cls.detached
-
-
-def test_is_local_examples():
-    c7 = cycle(7)
-    cls = classify(c7, (0, 2, 4))
-    assert is_local(c7, cls.exclusive_to(0)) == 0
-    assert is_local(c7, [0, 3]) is None
-    assert is_local(c7, []) == 0
-    assert is_local(build_graph(0, []), []) is None
-    assert is_local(c7, NodeSet([6, 1])) == 0

@@ -6,24 +6,28 @@ from clawmwss import (
     AlphaAtLeast4,
     NotStableError,
     Optimal,
-    OrderedCliquePrefix,
+    build_graph,
+    mwss_alpha3,
+    stable_set_min_alpha4,
+)
+from clawmwss.gen import SplitMix64
+from clawmwss.graph import WEIGHT_LIMIT
+from clawmwss.oracles import (
     brute_alpha_min4,
     brute_is_clawfree,
     brute_mwss,
-    build_graph,
-    classify,
     is_stable_set,
-    mwss_alpha3,
+)
+from clawmwss.structure import classify
+from clawmwss.weighted import (
+    OrderedCliquePrefix,
     mwss_intersecting,
     mwss_small,
     mwss_type_cycle6,
     mwss_type_iii,
     mwss_type_path6,
-    stable_set_min_alpha4,
     weighted_three_sets,
 )
-from clawmwss.gen import SplitMix64
-from clawmwss.graph import NodeSet
 
 from helpers import complete, cycle, random_clawfree, random_graph
 
@@ -43,7 +47,7 @@ def test_prefix_table_invariants():
         weights = [rng.randint(-20, 20) for _ in range(g.n)]
         clique = _greedy_clique(g, rng.below(g.n))
         probes = [v for v in range(g.n) if v not in clique]
-        prefix = OrderedCliquePrefix.build(g, weights, NodeSet(clique), probes)
+        prefix = OrderedCliquePrefix.build(g, weights, clique, probes)
         p = len(prefix.order)
         assert sorted(prefix.order) == clique
         for i in range(1, p):
@@ -385,6 +389,15 @@ def test_mwss_alpha3_lexicographic_tie_rule():
 def test_mwss_alpha3_weight_vector_length_checked():
     with pytest.raises(ValueError):
         mwss_alpha3(cycle(7), [1] * 6)
+
+
+def test_mwss_alpha3_enforces_weight_contract():
+    c7 = cycle(7)
+    for bad in ([0.5 + i for i in range(7)], [1 << 70] * 7, [True] * 7):
+        with pytest.raises(ValueError):
+            mwss_alpha3(c7, bad)
+    out = mwss_alpha3(c7, [-WEIGHT_LIMIT] + [WEIGHT_LIMIT] * 6)
+    assert out == Optimal(nodes=(1, 3, 5), weight=3 * WEIGHT_LIMIT, dropped_negative=1)
 
 
 def test_mwss_alpha3_matches_brute_force():
