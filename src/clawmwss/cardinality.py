@@ -1,8 +1,9 @@
 """Unweighted machinery: build a stable set of size min(alpha(G), 4).
 
 The constructions assume a claw-free input graph; they run in O(m) adjacency
-queries.  Precondition re-verification (cliques, nullity, disjointness) is
-debug-only: it is skipped under ``python -O`` so release runs trust callers.
+queries.  The callers of the set searches prove their preconditions once.
+``python -O`` strips only the checks a claw can fail (in ``extend_to_four``,
+``mwss_type_cycle6`` and ``mwss_type_iii``) and the uncounted result asserts.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError
-from .graph import Graph, ensure_clique, ensure_disjoint, ensure_null, is_clique_or_witness
+from .errors import ClawWitnessError
+from .graph import Graph, is_clique_or_witness, is_null_to
 from .oracles import is_stable_set
 from .structure import classify
 
@@ -68,14 +69,13 @@ def three_sets_stable(
     """Stable triple with one node from each of X, Y and the clique Z.
 
     X, Y, Z must be disjoint local sets with Z a clique, inside a claw-free
-    graph.  A non-adjacent pair (x, y) extends into Z exactly when the
-    number of clique members their neighborhoods cover leaves a gap; the
-    first such pair in scan order wins and the gap node with smallest
-    position in Z completes it.  Returns None when no triple exists.
+    graph; the caller proves the first two (the sets are parts of one
+    ``classify`` partition and Z passed ``is_clique_or_witness``).  A pair
+    (x, y) of non-adjacent nodes extends into Z exactly when the number of
+    clique members their neighborhoods cover leaves a gap; the first such
+    pair in scan order wins and the gap node with smallest position in Z
+    completes it.  Returns None when no triple exists.
     """
-    if __debug__:
-        ensure_disjoint([(xs, "X"), (ys, "Y"), (zs, "Z")])
-        ensure_clique(g, zs, "Z")
     if not xs or not ys or not zs:
         return None
     hits = clique_neighbor_counts(g, zs, chain(xs, ys))
@@ -99,17 +99,11 @@ def four_sets_stable(
     """Stable 4-set with one node from each of X, Y, Z, W.
 
     Additional preconditions over the triple case: X null to Y, W null to
-    the clique Z, W non-empty.  For each candidate w the sets X, Y shrink
-    to w's non-neighbors, and minimizing clique coverage within the
-    restricted sets decides extendability.
+    the clique Z, W non-empty; ``extend_to_four`` proves them before the
+    call.  For each candidate w the sets X, Y shrink to w's non-neighbors,
+    and minimizing clique coverage within the restricted sets decides
+    extendability.
     """
-    if __debug__:
-        ensure_disjoint([(xs, "X"), (ys, "Y"), (zs, "Z"), (ws, "W")])
-        ensure_clique(g, zs, "Z")
-        ensure_null(g, ws, zs, "W and Z")
-        ensure_null(g, xs, ys, "X and Y")
-        if not ws:
-            raise PreconditionError("W must be non-empty")
     if not xs or not ys or not zs or not ws:
         return None
     hits = clique_neighbor_counts(g, zs, chain(xs, ys))
@@ -163,6 +157,9 @@ def extend_to_four(g: Graph, anchors: Iterable[int]) -> tuple[int, int, int, int
     After the detached-node and exclusive-set clique checks, a 4-set (if any)
     alternates with the anchors along a path that contains either two anchors
     (5 nodes) or all three (7 nodes); both shapes reduce to the set searches.
+    The 7-node search needs W null to Z and X null to Y, which only
+    claw-freeness guarantees; the debug build checks both and raises
+    ClawWitnessError on a crossing edge.
     """
     cls = classify(g, anchors)
     s, t, u = cls.anchors
@@ -184,15 +181,20 @@ def extend_to_four(g: Graph, anchors: Iterable[int]) -> tuple[int, int, int, int
     # Path with all three anchors, b in the middle: (x, a, w, b, y, c, z).
     for b in (s, t, u):
         a, c = (x for x in (s, t, u) if x != b)
-        if not cls.shared_by(a, b):
+        ws = cls.shared_by(a, b)
+        if not ws:
             continue
-        quad = four_sets_stable(
-            g,
-            cls.exclusive_to(a),
-            cls.shared_by(b, c),
-            cls.exclusive_to(c),
-            cls.shared_by(a, b),
-        )
+        xs, ys, zs = cls.exclusive_to(a), cls.shared_by(b, c), cls.exclusive_to(c)
+        if __debug__:
+            crossing = is_null_to(g, ws, zs)
+            if crossing is not None:
+                w, z = crossing
+                raise ClawWitnessError(w, (a, b, z))
+            crossing = is_null_to(g, xs, ys)
+            if crossing is not None:
+                x, y = crossing
+                raise ClawWitnessError(y, (x, b, c))
+        quad = four_sets_stable(g, xs, ys, zs, ws)
         if quad is not None:
             return tuple(sorted(quad))
     return None

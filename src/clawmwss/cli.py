@@ -40,11 +40,12 @@ def _ids(nodes: Sequence[int]) -> str:
 
 
 def _load(path: str) -> tuple[Graph, list[int]]:
-    with open(path, "r", encoding="ascii") as fh:
+    # Non-ASCII bytes decode to surrogates; read_instance reports their line.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         return read_instance(fh)
 
 
-_INPUT_ERRORS = (OSError, InstanceFormatError, UnicodeDecodeError)
+_INPUT_ERRORS = (OSError, InstanceFormatError)
 
 
 def _save(path: str, text: str) -> bool:

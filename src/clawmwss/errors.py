@@ -43,7 +43,7 @@ class ClawWitnessError(ClawMwssError):
 
 
 class PreconditionError(ClawMwssError):
-    """A debug-build precondition check failed; names the violated clause."""
+    """A precondition of a library call failed; names the violated clause."""
 
     def __init__(self, clause: str):
         super().__init__(f"precondition violated: {clause}")

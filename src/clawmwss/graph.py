@@ -179,20 +179,3 @@ def check_weights(g: Graph, weights: NodeWeights) -> None:
         if abs(w) > WEIGHT_LIMIT:
             raise ValueError(f"weight of node {v} exceeds {WEIGHT_LIMIT} in magnitude")
 
-
-def ensure_disjoint(named_sets: Sequence[tuple[Sequence[int], str]]) -> None:
-    members = [(set(nodes), name) for nodes, name in named_sets]
-    for i, (a, na) in enumerate(members):
-        for b, nb in members[i + 1 :]:
-            if not a.isdisjoint(b):
-                raise PreconditionError(f"{na} and {nb} must be disjoint")
-
-
-def ensure_clique(g: Graph, nodes: Sequence[int], name: str) -> None:
-    if is_clique_or_witness(g, nodes) is not None:
-        raise PreconditionError(f"{name} must be a clique")
-
-
-def ensure_null(g: Graph, a: Sequence[int], b: Sequence[int], names: str) -> None:
-    if is_null_to(g, a, b) is not None:
-        raise PreconditionError(f"{names} must have no crossing edges")

@@ -30,7 +30,8 @@ def read_instance(stream: IO[str] | str) -> tuple[Graph, list[int]]:
     """Parse an instance file into (Graph, weights).
 
     Accepts a text stream or a string.  Raises InstanceFormatError with the
-    offending 1-based line number on any malformed input.
+    offending 1-based line number on any malformed input, including any
+    non-ASCII character.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -45,6 +46,8 @@ def read_instance(stream: IO[str] | str) -> tuple[Graph, list[int]]:
 
     for line_no, raw in enumerate(stream, start=1):
         last_line = line_no
+        if not raw.isascii():
+            raise InstanceFormatError(line_no, "non-ASCII text")
         parts = raw.split()
         if not parts or parts[0] == "c":
             continue

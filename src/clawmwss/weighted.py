@@ -22,8 +22,6 @@ from .errors import ClawWitnessError, NotStableError
 from .graph import (
     Graph,
     check_weights,
-    ensure_clique,
-    ensure_disjoint,
     induced_subgraph,
     is_clique_or_witness,
     is_null_to,
@@ -138,11 +136,10 @@ def weighted_three_sets(
     For each non-adjacent probe pair the heaviest compatible clique node
     sits at the first prefix where the pair's neighbor counts leave a gap;
     that index is found by binary search.  Returns the best triple with its
-    weight, or None when no stable triple exists.
+    weight, or None when no stable triple exists.  The caller proves that
+    X, Y, Z are disjoint parts of one ``classify`` partition and that Z is a
+    clique (in ``extend_to_four`` or ``mwss_type_cycle6``).
     """
-    if __debug__:
-        ensure_disjoint([(xs, "X"), (ys, "Y"), (zs, "Z")])
-        ensure_clique(g, zs, "Z")
     if not xs or not ys or not zs:
         return None
     prefix = OrderedCliquePrefix.build(g, weights, zs, chain(xs, ys))
@@ -312,7 +309,8 @@ def mwss_alpha3(
     alpha, and the weighted phase takes the best candidate over: stable sets
     meeting a maximum stable triple, the three disjoint-triple shapes, all
     small stable sets, and the empty set.  Weights are reported against the
-    original graph; node ids in the outcome are original ids.
+    original graph; node ids in the outcome, and in a ClawWitnessError, are
+    original ids.
 
     Raises ValueError unless ``weights`` holds one ``int`` (not a ``bool``)
     per node, each of magnitude at most 2^61.
@@ -329,26 +327,29 @@ def mwss_alpha3(
     sub = sub.with_counter(g.counter)
     sub_weights = [weights[v] for v in keep]
 
-    report = stable_set_min_alpha4(sub)
-    if report.alpha_at_least_4:
-        witness = tuple(sorted(keep[x] for x in report.nodes))
-        return AlphaAtLeast4(witness)
+    try:
+        report = stable_set_min_alpha4(sub)
+        if report.alpha_at_least_4:
+            return AlphaAtLeast4(tuple(sorted(keep[x] for x in report.nodes)))
 
-    best = _Best()
-    best.offer((), 0)
-    if report.exact_alpha is not None and report.exact_alpha >= 1:
-        best.add(mwss_small(sub, sub_weights, range(sub.n)))
-    if report.exact_alpha == 3:
-        anchors = report.nodes
-        cls = classify(sub, anchors)
-        assert not cls.detached, "alpha = 3 leaves no detached nodes"
-        for found in (
-            mwss_intersecting(sub, sub_weights, anchors),
-            mwss_type_path6(sub, sub_weights, cls),
-            mwss_type_cycle6(sub, sub_weights, cls),
-            mwss_type_iii(sub, sub_weights, cls),
-        ):
-            best.add(found)
+        best = _Best()
+        best.offer((), 0)
+        if report.exact_alpha is not None and report.exact_alpha >= 1:
+            best.add(mwss_small(sub, sub_weights, range(sub.n)))
+        if report.exact_alpha == 3:
+            anchors = report.nodes
+            cls = classify(sub, anchors)
+            assert not cls.detached, "alpha = 3 leaves no detached nodes"
+            for found in (
+                mwss_intersecting(sub, sub_weights, anchors),
+                mwss_type_path6(sub, sub_weights, cls),
+                mwss_type_cycle6(sub, sub_weights, cls),
+                mwss_type_iii(sub, sub_weights, cls),
+            ):
+                best.add(found)
+    except ClawWitnessError as exc:
+        # An induced claw of the subgraph is one of g: report it in g's ids.
+        raise ClawWitnessError(keep[exc.center], tuple(keep[x] for x in exc.leaves)) from None
 
     nodes = tuple(sorted(keep[x] for x in best.nodes))
     assert is_stable_set(g, nodes), "internal error: result not stable"

@@ -5,7 +5,6 @@ import pytest
 from clawmwss import (
     ClawWitnessError,
     NotStableError,
-    PreconditionError,
     build_graph,
     stable_set_min_alpha4,
 )
@@ -48,14 +47,6 @@ def test_three_sets_empty_inputs():
     assert three_sets_stable(g, [], [1], [4]) is None
     assert three_sets_stable(g, [1], [], [4]) is None
     assert three_sets_stable(g, [1], [3], []) is None
-
-
-def test_three_sets_rejects_bad_preconditions():
-    g = cycle(7)
-    with pytest.raises(PreconditionError, match="disjoint"):
-        three_sets_stable(g, [0], [0], [1])
-    with pytest.raises(PreconditionError, match="clique"):
-        three_sets_stable(g, [0], [2], [4, 6])
 
 
 def _triple_configs(g, cls):
@@ -141,14 +132,23 @@ def test_four_sets_none_when_restriction_empties_x():
     assert four_sets_stable(g, [0], [1], [2], [3]) is None
 
 
-def test_four_sets_rejects_bad_preconditions():
-    g = build_graph(5, [(0, 1), (3, 4)])
-    with pytest.raises(PreconditionError, match="W and Z"):
-        four_sets_stable(g, [0], [1], [3], [4])
-    with pytest.raises(PreconditionError, match="X and Y"):
-        four_sets_stable(g, [0], [1], [2], [3])
-    with pytest.raises(PreconditionError, match="non-empty"):
-        four_sets_stable(g, [0], [2], [3], [])
+def test_extend_to_four_reports_w_z_crossing_as_claw():
+    # Anchors 0, 1, 2; w = 3 is shared by 0 and 1, z = 4 is exclusive to 2,
+    # and the edge w-z makes (w; 0, 1, z) a claw.
+    g = build_graph(5, [(0, 3), (1, 3), (2, 4), (3, 4)])
+    with pytest.raises(ClawWitnessError) as info:
+        extend_to_four(g, (0, 1, 2))
+    assert (info.value.center, info.value.leaves) == (3, (0, 1, 4))
+
+
+def test_extend_to_four_reports_x_y_crossing_as_claw():
+    # Anchors 0, 1, 2 with b = 0 in the middle: w = 3 is shared by 0 and 1,
+    # x = 4 is exclusive to 1, y = 5 is shared by 0 and 2, and the edge x-y
+    # makes (y; x, 0, 2) a claw.
+    g = build_graph(6, [(0, 3), (1, 3), (1, 4), (0, 5), (2, 5), (4, 5)])
+    with pytest.raises(ClawWitnessError) as info:
+        extend_to_four(g, (0, 1, 2))
+    assert (info.value.center, info.value.leaves) == (5, (0, 2, 4))
 
 
 def _stable_quads_brute(g, xs, ys, zs, ws):

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import clawmwss.cli as cli
-from clawmwss import Optimal, read_instance, write_instance
+from clawmwss import Optimal, generate, read_instance, write_instance
 from clawmwss.cli import BenchRecord, main, render_csv, run_bench, verify_instances
+from clawmwss.gen import GenSpec
 from clawmwss.graph import NODE_LIMIT
 
 from helpers import cycle, star
@@ -94,6 +100,31 @@ def test_solve_output_is_byte_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_release_build_prints_the_debug_result_line(tmp_path, capsys):
+    # ``python -O`` strips the debug-build claw checks and result asserts;
+    # on claw-free input the result line and exit code must not change.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    specs = [
+        GenSpec("line_graph_cover3", 150, seed=11),
+        GenSpec("line_graph_cover3", 150, -50, 50, seed=12),
+        GenSpec("complement_triangle_free", 20, -50, 50, seed=13),
+        GenSpec("cycle", 9, seed=14),
+    ]
+    for i, spec in enumerate(specs):
+        g, weights, _ = generate(spec)
+        path = _instance_file(tmp_path, f"inst{i}.txt", g, weights)
+        rc = main(["solve", "--input", path])
+        expected = capsys.readouterr().out
+        release = subprocess.run(
+            [sys.executable, "-O", "-m", "clawmwss.cli", "solve", "--input", path],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert (release.returncode, release.stdout) == (rc, expected)
+        assert release.stderr == ""
+
+
 def test_check_verdicts(tmp_path, capsys):
     c7 = _instance_file(tmp_path, "c7.txt", cycle(7), [1] * 7)
     assert main(["check", "--input", c7]) == 0
@@ -110,11 +141,12 @@ def test_check_verdicts(tmp_path, capsys):
 
 def test_check_non_ascii_file_reports_error(tmp_path, capsys):
     path = tmp_path / "cafe.txt"
-    path.write_bytes(b"c caf\xc3\xa9\np edge 1 0\n")
-    assert main(["check", "--input", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    path.write_bytes(b"c ok\np edge 1 0\nc caf\xc3\xa9\n")
+    for command in ("check", "solve"):
+        assert main([command, "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 3:") and captured.err.count("\n") == 1
 
 
 def test_gen_unwritable_out_reports_error(tmp_path, capsys):

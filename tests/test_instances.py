@@ -47,6 +47,8 @@ def test_read_negative_weights():
         ("p edge 2 1\ne 1 2\ne 1 2\n", 3, "more than 1 edge lines"),
         ("p edge 2 2\ne 1 2\n", 3, "expected 2 edge lines"),
         ("p edge 2 1\nq 1 2\n", 2, "unknown line type"),
+        ("p edge 2 0\nc caf\u00e9\n", 2, "non-ASCII"),
+        ("p edge \u0663 0\n", 1, "non-ASCII"),
         ("", 1, "missing problem line"),
         ("c only comments\n", 2, "missing problem line"),
     ],

@@ -4,6 +4,7 @@ import pytest
 
 from clawmwss import (
     AlphaAtLeast4,
+    ClawWitnessError,
     NotStableError,
     Optimal,
     build_graph,
@@ -398,6 +399,32 @@ def test_mwss_alpha3_enforces_weight_contract():
             mwss_alpha3(c7, bad)
     out = mwss_alpha3(c7, [-WEIGHT_LIMIT] + [WEIGHT_LIMIT] * 6)
     assert out == Optimal(nodes=(1, 3, 5), weight=3 * WEIGHT_LIMIT, dropped_negative=1)
+
+
+def test_mwss_alpha3_reports_claw_in_input_ids():
+    # Node 0 is dropped for its negative weight, so the solver works on a
+    # subgraph whose ids are one lower; the only claw is (4; 1, 2, 5).
+    g = build_graph(6, [(1, 4), (2, 4), (3, 5), (4, 5)])
+    with pytest.raises(ClawWitnessError) as info:
+        mwss_alpha3(g, [-1, 1, 1, 1, 1, 1])
+    assert (info.value.center, info.value.leaves) == (4, (1, 2, 5))
+
+
+def test_mwss_alpha3_returns_or_reports_a_real_claw():
+    # Random graphs, many of them with a claw: the solver either returns or
+    # names an induced claw of its input, whichever nodes the drop removes.
+    rng = SplitMix64(2024)
+    for _ in range(2000):
+        n = 3 + rng.below(12)
+        g = random_graph(rng, n, rng.below(101))
+        weights = [rng.below(13) - 3 for _ in range(n)]
+        try:
+            mwss_alpha3(g, weights)
+        except ClawWitnessError as exc:
+            a, b, c = exc.leaves
+            nbrs = g.neighbor_set
+            assert {a, b, c} <= nbrs(exc.center)
+            assert b not in nbrs(a) and c not in nbrs(a) and c not in nbrs(b)
 
 
 def test_mwss_alpha3_matches_brute_force():
