@@ -12,7 +12,6 @@ from .errors import (
     ClawWitnessError,
     InstanceFormatError,
     NotStableError,
-    PreconditionError,
 )
 from .graph import Graph, build_graph
 from .instances import read_instance, write_instance
@@ -31,7 +30,6 @@ __all__ = [
     "InstanceFormatError",
     "NotStableError",
     "Optimal",
-    "PreconditionError",
     "SolveOutcome",
     "StableSetReport",
     "build_graph",

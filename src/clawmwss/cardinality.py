@@ -1,9 +1,10 @@
 """Unweighted machinery: build a stable set of size min(alpha(G), 4).
 
 The constructions assume a claw-free input graph; they run in O(m) adjacency
-queries.  The callers of the set searches prove their preconditions once.
-``python -O`` strips only the checks a claw can fail (in ``extend_to_four``,
-``mwss_type_cycle6`` and ``mwss_type_iii``) and the uncounted result asserts.
+queries.  The callers of the set searches prove their preconditions once, and
+the checks that only a claw can fail (in ``extend_to_four``,
+``mwss_type_cycle6`` and ``mwss_type_iii``) run in every build.  ``python -O``
+strips only the uncounted result asserts.
 """
 
 from __future__ import annotations
@@ -158,8 +159,8 @@ def extend_to_four(g: Graph, anchors: Iterable[int]) -> tuple[int, int, int, int
     alternates with the anchors along a path that contains either two anchors
     (5 nodes) or all three (7 nodes); both shapes reduce to the set searches.
     The 7-node search needs W null to Z and X null to Y, which only
-    claw-freeness guarantees; the debug build checks both and raises
-    ClawWitnessError on a crossing edge.
+    claw-freeness guarantees; both are checked, and a crossing edge raises
+    ClawWitnessError.
     """
     cls = classify(g, anchors)
     s, t, u = cls.anchors
@@ -185,15 +186,14 @@ def extend_to_four(g: Graph, anchors: Iterable[int]) -> tuple[int, int, int, int
         if not ws:
             continue
         xs, ys, zs = cls.exclusive_to(a), cls.shared_by(b, c), cls.exclusive_to(c)
-        if __debug__:
-            crossing = is_null_to(g, ws, zs)
-            if crossing is not None:
-                w, z = crossing
-                raise ClawWitnessError(w, (a, b, z))
-            crossing = is_null_to(g, xs, ys)
-            if crossing is not None:
-                x, y = crossing
-                raise ClawWitnessError(y, (x, b, c))
+        crossing = is_null_to(g, ws, zs)
+        if crossing is not None:
+            w, z = crossing
+            raise ClawWitnessError(w, (a, b, z))
+        crossing = is_null_to(g, xs, ys)
+        if crossing is not None:
+            x, y = crossing
+            raise ClawWitnessError(y, (x, b, c))
         quad = four_sets_stable(g, xs, ys, zs, ws)
         if quad is not None:
             return tuple(sorted(quad))

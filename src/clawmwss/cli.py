@@ -8,7 +8,8 @@ Result lines are machine-parseable and stable:
     CLAW_FREE alpha=<k> | CLAW_FREE alpha>=4
 
 Node ids are printed 1-based ascending, matching the instance file format.
-Exit codes: 0 optimal / success, 1 input error, 2 alpha >= 4, 3 not claw-free.
+Exit codes: 0 optimal / success, 1 input or usage error, 2 alpha >= 4,
+3 not claw-free.
 """
 
 from __future__ import annotations
@@ -48,13 +49,19 @@ def _load(path: str) -> tuple[Graph, list[int]]:
 _INPUT_ERRORS = (OSError, InstanceFormatError)
 
 
+def _error(message: object) -> int:
+    """Print one ``error:`` line; return the input-error exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
+
+
 def _save(path: str, text: str) -> bool:
     """Write ``text`` to ``path``; on failure print one error line instead."""
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return False
     return True
 
@@ -63,8 +70,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         g, weights = _load(args.input)
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _error(exc)
     try:
         outcome = mwss_alpha3(g, weights, validate=args.validate)
     except ClawWitnessError as exc:
@@ -81,8 +87,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         g, _ = _load(args.input)
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _error(exc)
     claw = find_claw(g)
     if claw is not None:
         print(f"NOT_CLAW_FREE center={claw.center + 1} leaves={_ids(claw.leaves)}")
@@ -106,14 +111,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
     try:
         g, weights, cert = generate(spec)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _error(exc)
     if args.certify:
         try:
             verify_certificate(g, cert)
         except ValueError as exc:
-            print(f"error: certification failed: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            return _error(f"certification failed: {exc}")
     text = write_instance(g, weights, comments=cert.comment_lines())
     return EXIT_OK if _save(args.out, text) else EXIT_INPUT_ERROR
 
@@ -199,6 +202,8 @@ def _check_one(g: Graph, weights: list[int], solve: Callable[..., SolveOutcome])
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.count < 0 or args.max_n < 3:
+        return _error("verify needs --count >= 0 and --max-n >= 3")
     summary = verify_instances(args.count, args.seed, args.max_n)
     print(
         f"VERIFY total={summary.total} pass={summary.passed} "
@@ -257,7 +262,10 @@ def render_csv(records: Sequence[BenchRecord]) -> str:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
+    try:
+        sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
+    except ValueError:
+        return _error(f"--sizes is not a comma-separated integer list: {args.sizes!r}")
     records = run_bench(sizes, args.seed)
     if not _save(args.out, render_csv(records)):
         return EXIT_INPUT_ERROR
@@ -269,8 +277,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """One ``error:`` line and exit code 1, not argparse's usage text and
+        exit code 2 (the ALPHA_GE_4 code)."""
+        raise SystemExit(_error(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clawmwss",
         description="Exact maximum-weight stable set solver for claw-free "
         "graphs with independence number at most 3.",
@@ -313,7 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error, or --help
+        return exc.code
     return args.func(args)
 
 

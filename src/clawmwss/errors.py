@@ -40,11 +40,3 @@ class ClawWitnessError(ClawMwssError):
         super().__init__(f"claw found: center {center}, leaves {sorted(leaves)}")
         self.center = center
         self.leaves = tuple(sorted(leaves))
-
-
-class PreconditionError(ClawMwssError):
-    """A precondition of a library call failed; names the violated clause."""
-
-    def __init__(self, clause: str):
-        super().__init__(f"precondition violated: {clause}")
-        self.clause = clause

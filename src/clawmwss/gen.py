@@ -92,9 +92,7 @@ class Certificate:
         return lines
 
 
-def line_graph(
-    host_n: int, host_edges: Sequence[tuple[int, int]]
-) -> tuple[Graph, list[tuple[int, int]]]:
+def line_graph(host_n: int, host_edges: Sequence[tuple[int, int]]) -> Graph:
     """Line graph of a simple host graph; node i of the result is edge i."""
     incident: list[list[int]] = [[] for _ in range(host_n)]
     for idx, (u, v) in enumerate(host_edges):
@@ -105,7 +103,7 @@ def line_graph(
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
                 edges.append((ids[i], ids[j]))
-    return build_graph(len(host_edges), edges), list(host_edges)
+    return build_graph(len(host_edges), edges)
 
 
 def _gen_line_graph_cover3(spec: GenSpec, rng: SplitMix64) -> tuple[Graph, Certificate]:
@@ -129,7 +127,7 @@ def _gen_line_graph_cover3(spec: GenSpec, rng: SplitMix64) -> tuple[Graph, Certi
             host_edges.append(key)
 
     for c, leaf in zip(centers, private):
-        add(c, leaf)  # three disjoint edges: a matching of size 3
+        add(c, leaf)  # host edges 0, 1, 2: a matching of size 3
     for c in centers:
         chosen: set[int] = set()
         while len(chosen) < extra:
@@ -143,20 +141,13 @@ def _gen_line_graph_cover3(spec: GenSpec, rng: SplitMix64) -> tuple[Graph, Certi
                 if rng.below(2):
                     add(centers[i], centers[j])
 
-    g, hedges = line_graph(host_n, host_edges)
-    disjoint = [hedges.index((c, leaf)) for c, leaf in zip(centers, private)]
     cert = Certificate(
         kind=spec.kind,
         alpha_bound=3,
         exact=True,
-        detail={
-            "host_nodes": host_n,
-            "host_edges": hedges,
-            "centers": centers,
-            "disjoint": disjoint,
-        },
+        detail={"host_edges": host_edges, "centers": centers, "disjoint": [0, 1, 2]},
     )
-    return g, cert
+    return line_graph(host_n, host_edges), cert
 
 
 def _gen_complement_triangle_free(spec: GenSpec, rng: SplitMix64) -> tuple[Graph, Certificate]:

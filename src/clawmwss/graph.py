@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import PreconditionError
-
 NodeWeights = Sequence[int]
 
 # Weights above this in magnitude are rejected so that any 3-node sum fits
@@ -135,8 +133,6 @@ def is_clique_or_witness(g: Graph, nodes: Sequence[int]) -> tuple[int, int] | No
 def is_null_to(g: Graph, a: Sequence[int], b: Sequence[int]) -> tuple[int, int] | None:
     """Return None if no edge crosses between disjoint sets a and b, else one
     crossing edge (u, v) with u in a, v in b."""
-    if not set(a).isdisjoint(b):
-        raise PreconditionError("is_null_to requires disjoint sets")
     for u in a:
         for v in b:
             if g.adjacent(u, v):

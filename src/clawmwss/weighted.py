@@ -251,13 +251,12 @@ def mwss_type_cycle6(g: Graph, weights: Sequence[int], cls: Classification) -> F
             if not hit1 and not hit2:
                 raise ClawWitnessError(u, (q, v, v_prime))
             (half1 if hit1 else half2).append(q)
-        if __debug__:
-            bad = is_clique_or_witness(g, half1)
-            if bad is not None:
-                raise ClawWitnessError(u, (bad[0], bad[1], v_prime))
-            bad = is_clique_or_witness(g, half2)
-            if bad is not None:
-                raise ClawWitnessError(u, (bad[0], bad[1], v))
+        bad = is_clique_or_witness(g, half1)
+        if bad is not None:
+            raise ClawWitnessError(u, (bad[0], bad[1], v_prime))
+        bad = is_clique_or_witness(g, half2)
+        if bad is not None:
+            raise ClawWitnessError(u, (bad[0], bad[1], v))
         searches = [(x_side, y_mid, half1), (x_side, y_mid, half2)]
 
     best = _Best()
@@ -287,10 +286,9 @@ def mwss_type_iii(g: Graph, weights: Sequence[int], cls: Classification) -> Foun
         best.add(weighted_three_sets(g, weights, shared_bc, cls.exclusive_to(c), f_a))
         best.add(weighted_three_sets(g, weights, shared_bc, cls.exclusive_to(b), f_a))
         if f_a and len(shared_bc) >= 2:
-            if __debug__:
-                crossing = is_null_to(g, f_a, shared_bc)
-                if crossing is not None:
-                    raise ClawWitnessError(crossing[1], (crossing[0], b, c))
+            crossing = is_null_to(g, f_a, shared_bc)
+            if crossing is not None:
+                raise ClawWitnessError(crossing[1], (crossing[0], b, c))
             z = min(f_a, key=lambda node: (-weights[node], node))
             pair = _Best()
             _offer_pairs(g, weights, sorted(shared_bc), pair)

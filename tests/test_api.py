@@ -20,7 +20,6 @@ def test_public_names_are_exactly_the_documented_api():
         "InstanceFormatError",
         "NotStableError",
         "Optimal",
-        "PreconditionError",
         "SolveOutcome",
         "StableSetReport",
         "build_graph",

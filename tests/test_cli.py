@@ -8,8 +8,8 @@ import pytest
 import clawmwss.cli as cli
 from clawmwss import Optimal, generate, read_instance, write_instance
 from clawmwss.cli import BenchRecord, main, render_csv, run_bench, verify_instances
-from clawmwss.gen import GenSpec
-from clawmwss.graph import NODE_LIMIT
+from clawmwss.gen import GenSpec, SplitMix64
+from clawmwss.graph import NODE_LIMIT, build_graph
 
 from helpers import cycle, star
 
@@ -100,9 +100,26 @@ def test_solve_output_is_byte_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_release_build_prints_the_debug_result_line(tmp_path, capsys):
-    # ``python -O`` strips the debug-build claw checks and result asserts;
-    # on claw-free input the result line and exit code must not change.
+# A claw input on which ``python -O`` used to print a set that is not stable.
+CLAW_7 = (
+    "p edge 7 9\nn 1 0\nn 2 2\nn 3 4\nn 4 4\nn 6 -2\nn 7 3\n"
+    "e 1 4\ne 1 7\ne 2 3\ne 2 6\ne 3 4\ne 3 6\ne 3 7\ne 4 5\ne 5 7\n"
+)
+
+
+def _toggle_pairs(g, rng, count):
+    """``g`` with ``count`` random node pairs toggled between edge and non-edge."""
+    edges = set(g.edges())
+    for _ in range(count):
+        u, v = sorted(rng.below(g.n) for _ in range(2))
+        if u != v:
+            edges ^= {(u, v)}
+    return build_graph(g.n, sorted(edges))
+
+
+def test_release_build_prints_the_same_line_on_every_input(tmp_path, capsys):
+    # ``python -O`` strips only the uncounted result asserts, so on claw-free
+    # and claw inputs alike the result line and exit code must not change.
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     specs = [
         GenSpec("line_graph_cover3", 150, seed=11),
@@ -110,9 +127,21 @@ def test_release_build_prints_the_debug_result_line(tmp_path, capsys):
         GenSpec("complement_triangle_free", 20, -50, 50, seed=13),
         GenSpec("cycle", 9, seed=14),
     ]
+    paths = []
     for i, spec in enumerate(specs):
         g, weights, _ = generate(spec)
-        path = _instance_file(tmp_path, f"inst{i}.txt", g, weights)
+        paths.append(_instance_file(tmp_path, f"inst{i}.txt", g, weights))
+    claw_7 = tmp_path / "claw7.txt"
+    claw_7.write_text(CLAW_7, encoding="ascii")
+    paths.append(str(claw_7))
+    rng = SplitMix64(0x0B5E)
+    for i in range(20):
+        spec = GenSpec("line_graph_cover3", rng.randint(20, 150), -20, 50, rng.next_u64())
+        g, weights, _ = generate(spec)
+        g = _toggle_pairs(g, rng, rng.randint(1, 4))
+        paths.append(_instance_file(tmp_path, f"toggled{i}.txt", g, weights))
+
+    for path in paths:
         rc = main(["solve", "--input", path])
         expected = capsys.readouterr().out
         release = subprocess.run(
@@ -121,8 +150,76 @@ def test_release_build_prints_the_debug_result_line(tmp_path, capsys):
             capture_output=True,
             text=True,
         )
-        assert (release.returncode, release.stdout) == (rc, expected)
-        assert release.stderr == ""
+        assert (release.returncode, release.stdout, release.stderr) == (rc, expected, ""), path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["bogus"],
+        ["bench", "--sizes", "1,x", "--out", "unused.csv"],
+        ["verify", "--max-n", "2"],
+        ["verify", "--max-n", "-1"],
+        ["verify", "--count", "-5"],
+    ],
+    ids=" ".join,
+)
+def test_usage_error_exits_1_with_one_error_line(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+_FUZZ_TOKENS = ("99999999999999999999", "1048577", "2305843009213693953", "x")
+
+
+def _mutate(data: bytes, rng) -> bytes:
+    """One random edit of an instance file: drop, duplicate or truncate a
+    line, swap in a hostile token, or set a byte to a non-ASCII value."""
+    lines = data.split(b"\n")
+    i = rng.below(len(lines))
+    op = rng.below(5)
+    if op == 0:
+        del lines[i]
+    elif op == 1:
+        lines.insert(i, lines[i])
+    elif op == 2:
+        lines[i] = lines[i][: rng.below(len(lines[i]) + 1)]
+    elif op == 3:
+        tokens = lines[i].split(b" ")
+        tokens[rng.below(len(tokens))] = _FUZZ_TOKENS[rng.below(len(_FUZZ_TOKENS))].encode()
+        lines[i] = b" ".join(tokens)
+    else:
+        out = bytearray(data)
+        out[rng.below(len(out))] = 0x80 + rng.below(0x80)
+        return bytes(out)
+    return b"\n".join(lines)
+
+
+def test_mutated_instance_files_end_in_one_line(tmp_path, capsys):
+    bases = []
+    for spec in (
+        GenSpec("line_graph_cover3", 60, -20, 50, seed=21),
+        GenSpec("complement_triangle_free", 12, -20, 50, seed=22),
+        GenSpec("cycle", 7, seed=23),
+    ):
+        g, weights, _ = generate(spec)
+        bases.append(write_instance(g, weights, ["fuzz base"]).encode("ascii"))
+    rng = SplitMix64(0xF022)
+    path = tmp_path / "mutant.txt"
+    for _ in range(500):
+        path.write_bytes(_mutate(bases[rng.below(len(bases))], rng))
+        for command in ("solve", "check"):
+            rc = main([command, "--input", str(path)])
+            captured = capsys.readouterr()
+            if rc == 1:
+                assert captured.out == ""
+                assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            else:
+                assert rc in (0, 2, 3)
+                assert captured.out.count("\n") == 1 and captured.err == ""
 
 
 def test_check_verdicts(tmp_path, capsys):

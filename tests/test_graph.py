@@ -1,6 +1,6 @@
 import pytest
 
-from clawmwss import Graph, PreconditionError, build_graph, stable_set_min_alpha4
+from clawmwss import Graph, build_graph, stable_set_min_alpha4
 from clawmwss.gen import SplitMix64
 from clawmwss.graph import induced_subgraph, is_clique_or_witness, is_null_to
 from clawmwss.structure import classify
@@ -93,11 +93,6 @@ def test_null_examples():
     assert is_null_to(c7, [0], [3]) is None
     assert is_null_to(c7, [0], [1]) == (0, 1)
     assert is_null_to(c7, [], list(range(7))) is None
-
-
-def test_null_rejects_overlap():
-    with pytest.raises(PreconditionError):
-        is_null_to(cycle(7), [0, 1], [1, 2])
 
 
 def test_induced_subgraph_full_and_empty():
