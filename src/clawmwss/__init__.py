@@ -11,7 +11,6 @@ from .errors import (
     ClawMwssError,
     ClawWitnessError,
     InstanceFormatError,
-    NotStableError,
 )
 from .graph import Graph, build_graph
 from .instances import read_instance, write_instance
@@ -28,7 +27,6 @@ __all__ = [
     "GenSpec",
     "Graph",
     "InstanceFormatError",
-    "NotStableError",
     "Optimal",
     "SolveOutcome",
     "StableSetReport",

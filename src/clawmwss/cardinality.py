@@ -14,7 +14,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import ClawWitnessError
-from .graph import Graph, is_clique_or_witness, is_null_to
+from .graph import Graph, OrderedCliquePrefix, is_clique_or_witness, is_null_to
 from .oracles import is_stable_set
 from .structure import classify
 
@@ -33,20 +33,6 @@ class StableSetReport:
     def exact_alpha(self) -> int | None:
         """alpha(G) when it is at most 3, else None."""
         return len(self.nodes) if len(self.nodes) < 4 else None
-
-
-def clique_neighbor_counts(
-    g: Graph, clique: Sequence[int], probes: Iterable[int]
-) -> dict[int, int]:
-    """For each probe node, how many clique members it is adjacent to."""
-    counts = {}
-    for u in probes:
-        c = 0
-        for z in clique:
-            if g.adjacent(u, z):
-                c += 1
-        counts[u] = c
-    return counts
 
 
 def stable_pair(g: Graph) -> tuple[int, int] | None:
@@ -74,12 +60,15 @@ def three_sets_stable(
     ``classify`` partition and Z passed ``is_clique_or_witness``).  A pair
     (x, y) of non-adjacent nodes extends into Z exactly when the number of
     clique members their neighborhoods cover leaves a gap; the first such
-    pair in scan order wins and the gap node with smallest position in Z
-    completes it.  Returns None when no triple exists.
+    pair in scan order wins.  The counts are the popcounts of the probes'
+    clique masks, and a gap in the counts forces one in the masks, so
+    ``first_free`` always returns the completing node: the one with the
+    smallest position in Z.  Returns None when no triple exists.
     """
     if not xs or not ys or not zs:
         return None
-    hits = clique_neighbor_counts(g, zs, chain(xs, ys))
+    clique = OrderedCliquePrefix.build(g, zs, chain(xs, ys))
+    hits = {u: mask.bit_count() for u, mask in clique.masks.items()}
     p = len(zs)
     for x in xs:
         hx = hits[x]
@@ -87,10 +76,7 @@ def three_sets_stable(
             if g.adjacent(x, y):
                 continue
             if hx + hits[y] < p:
-                for z in zs:
-                    if not g.adjacent(z, x) and not g.adjacent(z, y):
-                        return (x, y, z)
-                raise AssertionError("uncovered clique node must exist")
+                return (x, y, clique.first_free(x, y))
     return None
 
 
@@ -103,11 +89,13 @@ def four_sets_stable(
     the clique Z, W non-empty; ``extend_to_four`` proves them before the
     call.  For each candidate w the sets X, Y shrink to w's non-neighbors,
     and minimizing clique coverage within the restricted sets decides
-    extendability.
+    extendability; as in ``three_sets_stable`` the coverage counts are mask
+    popcounts and ``first_free`` names the gap node.
     """
     if not xs or not ys or not zs or not ws:
         return None
-    hits = clique_neighbor_counts(g, zs, chain(xs, ys))
+    clique = OrderedCliquePrefix.build(g, zs, chain(xs, ys))
+    hits = {u: mask.bit_count() for u, mask in clique.masks.items()}
     p = len(zs)
     for w in ws:
         x_free = [x for x in xs if not g.adjacent(x, w)]
@@ -119,10 +107,7 @@ def four_sets_stable(
         xbar = min(x_free, key=hits.__getitem__)
         ybar = min(y_free, key=hits.__getitem__)
         if hits[xbar] + hits[ybar] < p:
-            for z in zs:
-                if not g.adjacent(z, xbar) and not g.adjacent(z, ybar):
-                    return (xbar, ybar, z, w)
-            raise AssertionError("uncovered clique node must exist")
+            return (xbar, ybar, clique.first_free(xbar, ybar), w)
     return None
 
 

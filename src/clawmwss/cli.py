@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from .errors import ClawWitnessError, InstanceFormatError
 from .gen import GenSpec, KINDS, SplitMix64, generate, sample_spec, verify_certificate
-from .graph import Graph, induced_subgraph, total_weight
+from .graph import NODE_LIMIT, Graph, induced_subgraph, total_weight
 from .instances import read_instance, write_instance
 from .oracles import brute_alpha_min4, brute_mwss, is_stable_set
 from .cardinality import stable_set_min_alpha4
@@ -202,8 +202,8 @@ def _check_one(g: Graph, weights: list[int], solve: Callable[..., SolveOutcome])
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.count < 0 or args.max_n < 3:
-        return _error("verify needs --count >= 0 and --max-n >= 3")
+    if args.count < 0 or not 3 <= args.max_n <= NODE_LIMIT:
+        return _error(f"verify needs --count >= 0 and 3 <= --max-n <= {NODE_LIMIT}")
     summary = verify_instances(args.count, args.seed, args.max_n)
     print(
         f"VERIFY total={summary.total} pass={summary.passed} "
@@ -266,7 +266,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
     except ValueError:
         return _error(f"--sizes is not a comma-separated integer list: {args.sizes!r}")
-    records = run_bench(sizes, args.seed)
+    try:
+        records = run_bench(sizes, args.seed)
+    except ValueError as exc:
+        return _error(exc)
     if not _save(args.out, render_csv(records)):
         return EXIT_INPUT_ERROR
     if records:

@@ -21,14 +21,6 @@ class InstanceFormatError(ClawMwssError):
         self.message = message
 
 
-class NotStableError(ClawMwssError):
-    """A set that was required to be stable contains an edge."""
-
-    def __init__(self, u: int, v: int):
-        super().__init__(f"set is not stable: edge ({u}, {v})")
-        self.edge = (u, v)
-
-
 class ClawWitnessError(ClawMwssError):
     """The input is not claw-free; carries an explicit claw certificate.
 

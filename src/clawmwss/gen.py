@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from math import isqrt
 from typing import Sequence
 
-from .graph import Graph, build_graph
+from .graph import NODE_LIMIT, WEIGHT_LIMIT, Graph, build_graph
 from .oracles import brute_alpha_min4, brute_is_clawfree
 
 _MASK64 = (1 << 64) - 1
@@ -106,11 +106,19 @@ def line_graph(host_n: int, host_edges: Sequence[tuple[int, int]]) -> Graph:
     return build_graph(len(host_edges), edges)
 
 
+def _center_degree(size: int) -> int:
+    """Per-center host degree d for a target line-graph edge count.
+
+    Three centers of degree about d dominate the line-graph edge count:
+    sum C(deg, 2) over H is roughly 3 * d^2 / 2.  The line graph has at
+    most 3d + 3 nodes: a matching of 3, d - 1 leaves per center, and up to
+    3 center-center edges.
+    """
+    return max(1, isqrt(max(0, 2 * size) // 3))
+
+
 def _gen_line_graph_cover3(spec: GenSpec, rng: SplitMix64) -> tuple[Graph, Certificate]:
-    target = max(0, spec.size)
-    # Three centers of degree about d dominate the line-graph edge count:
-    # sum C(deg, 2) over H is roughly 3 * d^2 / 2.
-    d = max(1, isqrt(max(0, 2 * target) // 3))
+    d = _center_degree(spec.size)
     extra = d - 1
     pool = extra + max(1, extra // 2) if extra else 0
 
@@ -192,6 +200,15 @@ def generate(spec: GenSpec) -> tuple[Graph, list[int], Certificate]:
         raise ValueError(f"unknown generator kind {spec.kind!r}")
     if spec.weight_lo > spec.weight_hi:
         raise ValueError("empty weight range")
+    # Refuse what read_instance would refuse, before allocating anything.
+    if max(abs(spec.weight_lo), abs(spec.weight_hi)) > WEIGHT_LIMIT:
+        raise ValueError(f"weight range exceeds {WEIGHT_LIMIT} in magnitude")
+    if spec.kind == "line_graph_cover3":
+        max_nodes = 3 * _center_degree(spec.size) + 3
+    else:
+        max_nodes = spec.size
+    if max_nodes > NODE_LIMIT:
+        raise ValueError(f"{spec.kind} of size {spec.size} would exceed {NODE_LIMIT} nodes")
     rng = SplitMix64(spec.seed)
     g, cert = _GENERATORS[spec.kind](spec, rng)
     weights = [rng.randint(spec.weight_lo, spec.weight_hi) for _ in range(g.n)]

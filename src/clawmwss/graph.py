@@ -130,6 +130,47 @@ def is_clique_or_witness(g: Graph, nodes: Sequence[int]) -> tuple[int, int] | No
     return None
 
 
+class OrderedCliquePrefix:
+    """A clique in a fixed order plus one adjacency bitmask per probe.
+
+    ``order`` keeps the clique in the order it was given as z_0..z_{p-1}.
+    Bit i of ``masks[u]`` is set iff probe u is adjacent to z_i, so
+    ``masks[u].bit_count()`` is the number of clique nodes u covers.
+    Building costs |probes| * p adjacency queries, as many as a table of
+    prefix neighbor counts; every later question is answered from the masks
+    without a query.  Per probe pair, ``first_free`` costs O(p/30) big-int
+    digit operations, where the paper's binary search over prefix counts
+    costs O(log p) steps.
+    """
+
+    __slots__ = ("order", "masks")
+
+    def __init__(self, order: tuple[int, ...], masks: dict[int, int]):
+        self.order = order
+        self.masks = masks
+
+    @classmethod
+    def build(
+        cls, g: Graph, clique: Sequence[int], probes: Iterable[int]
+    ) -> "OrderedCliquePrefix":
+        order = tuple(clique)
+        masks: dict[int, int] = {}
+        for u in probes:
+            mask = 0
+            for i, z in enumerate(order):
+                if g.adjacent(u, z):
+                    mask |= 1 << i
+            masks[u] = mask
+        return cls(order, masks)
+
+    def first_free(self, a: int, b: int) -> int | None:
+        """The first clique node in ``order`` adjacent to neither probe (the
+        lowest zero bit of ``masks[a] | masks[b]``), or None."""
+        covered = self.masks[a] | self.masks[b]
+        i = (~covered & (covered + 1)).bit_length() - 1
+        return self.order[i] if i < len(self.order) else None
+
+
 def is_null_to(g: Graph, a: Sequence[int], b: Sequence[int]) -> tuple[int, int] | None:
     """Return None if no edge crosses between disjoint sets a and b, else one
     crossing edge (u, v) with u in a, v in b."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .errors import ClawWitnessError, NotStableError
+from .errors import ClawWitnessError
 from .graph import Graph
 
 
@@ -53,10 +53,11 @@ class Classification:
 def classify(g: Graph, anchors: Iterable[int]) -> Classification:
     """Classify V minus T by adjacency to each anchor of the stable set T.
 
-    One pass over the nodes, at most |T| adjacency queries each.  Raises
-    NotStableError if T is not stable, and for |T| = 3 raises
-    ClawWitnessError if some node is adjacent to all three anchors (that node
-    is the center of a claw whose leaves are T).
+    One pass over the nodes, at most |T| adjacency queries each.  T must be
+    stable and is not rechecked: the cardinality phase builds every anchor
+    set stable (``stable_set_min_alpha4`` asserts its result).  For |T| = 3
+    raises ClawWitnessError if some node is adjacent to all three anchors
+    (that node is the center of a claw whose leaves are T).
     """
     t = tuple(sorted(anchors))
     t_members = set(t)
@@ -64,9 +65,6 @@ def classify(g: Graph, anchors: Iterable[int]) -> Classification:
         raise ValueError(f"duplicate anchor in {list(t)}")
     if len(t) not in (2, 3):
         raise ValueError(f"anchor set must have size 2 or 3, got {len(t)}")
-    for a, b in combinations(t, 2):
-        if g.adjacent(a, b):
-            raise NotStableError(a, b)
 
     exclusive: dict[int, list[int]] = {v: [] for v in t}
     shared: dict[tuple[int, int], list[int]] = {

@@ -1,12 +1,17 @@
 """Weighted machinery: maximum-weight stable set when alpha(G) <= 3.
 
 The core subroutine finds the best stable triple across two probe sets and a
-clique: with the clique ordered by non-increasing weight, prefix neighbor
-counts make "heaviest compatible clique node" a binary search over a
-monotone predicate (claw-freeness is what makes the predicate monotone).
-The top-level solver enumerates the handful of shapes a size-3 stable set
-can take relative to a maximum stable triple and returns the best candidate
-overall.
+clique.  The clique is ordered by non-increasing weight and each probe keeps
+one adjacency bitmask over that order, so the heaviest clique node
+compatible with a probe pair is the lowest zero bit of the OR of their
+masks.  The paper finds it by binary search over prefix neighbor counts,
+which claw-freeness makes monotone: O(log p) steps per pair for a p-node
+clique.  The lowest zero bit costs O(p/30) big-int digit operations per pair
+instead.  Building the masks makes the same |probes| * p queries as the
+prefix counts, and the answer stays exact when a claw breaks the monotone
+predicate.  The top-level solver enumerates the handful of shapes a size-3
+stable set can take relative to a maximum stable triple and returns the
+best candidate overall.
 
 All ties break lexicographically on node tuples so outputs are reproducible.
 """
@@ -14,13 +19,14 @@ All ties break lexicographically on node tuples so outputs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, permutations
+from itertools import chain, permutations
 from typing import Iterable, Sequence
 
 from .cardinality import stable_set_min_alpha4
-from .errors import ClawWitnessError, NotStableError
+from .errors import ClawWitnessError
 from .graph import (
     Graph,
+    OrderedCliquePrefix,
     check_weights,
     induced_subgraph,
     is_clique_or_witness,
@@ -92,78 +98,31 @@ def _offer_pairs(g: Graph, weights: Sequence[int], nodes: list[int], best: _Best
                 best.offer((a, b), wa + weights[b])
 
 
-class OrderedCliquePrefix:
-    """A clique ordered by non-increasing weight plus prefix neighbor counts.
-
-    ``order`` lists the clique as z_1..z_p with w(z_1) >= ... >= w(z_p),
-    ties broken by ascending id.  For every probe u, ``counts[u][i]`` is the
-    number of neighbors of u among the first i clique nodes (counts[u][0] is
-    0).  Building the table costs |probes| * p adjacency queries.
-    """
-
-    __slots__ = ("order", "counts")
-
-    def __init__(self, order: tuple[int, ...], counts: dict[int, list[int]]):
-        self.order = order
-        self.counts = counts
-
-    @classmethod
-    def build(
-        cls,
-        g: Graph,
-        weights: Sequence[int],
-        clique: Sequence[int],
-        probes: Iterable[int],
-    ) -> "OrderedCliquePrefix":
-        order = tuple(sorted(clique, key=lambda z: (-weights[z], z)))
-        counts: dict[int, list[int]] = {}
-        for u in probes:
-            row = [0] * (len(order) + 1)
-            c = 0
-            for i, z in enumerate(order, start=1):
-                if g.adjacent(u, z):
-                    c += 1
-                row[i] = c
-            counts[u] = row
-        return cls(order, counts)
-
-
 def weighted_three_sets(
     g: Graph, weights: Sequence[int], xs: Sequence[int], ys: Sequence[int], zs: Sequence[int]
 ) -> tuple[tuple[int, int, int], int] | None:
     """Maximum-weight stable triple (x, y, z) over X x Y x the clique Z.
 
-    For each non-adjacent probe pair the heaviest compatible clique node
-    sits at the first prefix where the pair's neighbor counts leave a gap;
-    that index is found by binary search.  Returns the best triple with its
-    weight, or None when no stable triple exists.  The caller proves that
-    X, Y, Z are disjoint parts of one ``classify`` partition and that Z is a
-    clique (in ``extend_to_four`` or ``mwss_type_cycle6``).
+    Z is sorted by (-weight, id), so for each non-adjacent probe pair the
+    heaviest compatible clique node is ``first_free`` of the pair.  Returns
+    the best triple with its weight, or None when no stable triple exists.
+    The caller proves that X, Y, Z are disjoint parts of one ``classify``
+    partition and that Z is a clique (in ``extend_to_four`` or
+    ``mwss_type_cycle6``).
     """
     if not xs or not ys or not zs:
         return None
-    prefix = OrderedCliquePrefix.build(g, weights, zs, chain(xs, ys))
-    order = prefix.order
-    p = len(order)
+    order = sorted(zs, key=lambda z: (-weights[z], z))
+    clique = OrderedCliquePrefix.build(g, order, chain(xs, ys))
     best = _Best()
     for x in xs:
-        row_x = prefix.counts[x]
         wx = weights[x]
         for y in ys:
             if g.adjacent(x, y):
                 continue
-            row_y = prefix.counts[y]
-            if row_x[p] + row_y[p] >= p:
-                continue
-            lo, hi = 1, p
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if row_x[mid] + row_y[mid] < mid:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            z = order[lo - 1]
-            best.offer((x, y, z), wx + weights[y] + weights[z])
+            z = clique.first_free(x, y)
+            if z is not None:
+                best.offer((x, y, z), wx + weights[y] + weights[z])
     return best.result()
 
 
@@ -189,12 +148,10 @@ def mwss_intersecting(
     For each anchor v the remaining members must be non-neighbors of v, so
     v plus the best small stable set among them covers every stable set
     containing v (other anchors stay in the pool: sets with two or three
-    anchors surface in several iterations, which is harmless).
+    anchors surface in several iterations, which is harmless).  T is not
+    rechecked: ``stable_set_min_alpha4`` builds it stable and asserts so.
     """
     t = tuple(sorted(anchors))
-    for a, b in combinations(t, 2):
-        if g.adjacent(a, b):
-            raise NotStableError(a, b)
     best = _Best()
     for v in t:
         pool = [x for x in range(g.n) if x != v and not g.adjacent(v, x)]

@@ -39,3 +39,12 @@ def random_clawfree(rng: SplitMix64, max_n: int, negative_weights: bool = False)
 
 def edge_set(g: Graph) -> set[tuple[int, int]]:
     return set(g.edges())
+
+
+def prefix_rows(g: Graph, order: list[int], probes) -> dict[int, list[int]]:
+    """Per probe u, row[i] = number of neighbors of u among order[:i], read
+    from the neighbor sets so no solver code is involved."""
+    return {
+        u: list(itertools.accumulate((z in g.neighbor_set(u) for z in order), initial=0))
+        for u in probes
+    }

@@ -13,14 +13,12 @@ import pytest
 
 import clawmwss.cli as cli
 from clawmwss import build_graph, find_claw, stable_set_min_alpha4
-from clawmwss.cardinality import clique_neighbor_counts
 from clawmwss.cli import main, run_bench, verify_instances
 from clawmwss.gen import GenSpec, KINDS, SplitMix64, generate, sample_spec
 from clawmwss.oracles import brute_alpha_min4, brute_is_clawfree, is_stable_set
 from clawmwss.structure import classify
-from clawmwss.weighted import OrderedCliquePrefix
 
-from helpers import random_graph
+from helpers import prefix_rows, random_graph
 
 
 def _verdict(criterion, ok, detail, started):
@@ -111,9 +109,9 @@ def test_criterion_3_subroutine_iff_properties():
         for xs, ys, zs in _probe_configs(cls):
             if not zs:
                 continue
-            hits = clique_neighbor_counts(g, zs, itertools.chain(xs, ys))
-            prefix = OrderedCliquePrefix.build(g, weights, zs, itertools.chain(xs, ys))
-            p = len(prefix.order)
+            order = sorted(zs, key=lambda z: (-weights[z], z))
+            rows = prefix_rows(g, order, itertools.chain(xs, ys))
+            p = len(order)
             for x in xs:
                 for y in ys:
                     if y in g.neighbor_set(x):
@@ -124,10 +122,10 @@ def test_criterion_3_subroutine_iff_properties():
                         z not in g.neighbor_set(x) and z not in g.neighbor_set(y)
                         for z in zs
                     )
-                    if extends != (hits[x] + hits[y] < len(zs)):
+                    row_x, row_y = rows[x], rows[y]
+                    if extends != (row_x[p] + row_y[p] < p):
                         violations += 1
                     # Once the prefix predicate holds it holds from then on.
-                    row_x, row_y = prefix.counts[x], prefix.counts[y]
                     seen = False
                     for i in range(1, p + 1):
                         holds = row_x[i] + row_y[i] < i

@@ -18,7 +18,6 @@ def test_public_names_are_exactly_the_documented_api():
         "GenSpec",
         "Graph",
         "InstanceFormatError",
-        "NotStableError",
         "Optimal",
         "SolveOutcome",
         "StableSetReport",
@@ -47,3 +46,6 @@ def test_every_traced_layer_resolves_at_module_level():
                 assert isinstance(raw, classmethod), fn_name
             else:
                 assert callable(getattr(mod, fn_name)), f"{mod_name}.{fn_name}"
+    # One clique primitive: patching weighted.OrderedCliquePrefix.build also
+    # traces the cardinality searches that build masks.
+    assert clawmwss.weighted.OrderedCliquePrefix is clawmwss.graph.OrderedCliquePrefix

@@ -4,12 +4,10 @@ import pytest
 
 from clawmwss import (
     ClawWitnessError,
-    NotStableError,
     build_graph,
     stable_set_min_alpha4,
 )
 from clawmwss.cardinality import (
-    clique_neighbor_counts,
     extend_to_four,
     extend_to_three,
     four_sets_stable,
@@ -102,7 +100,10 @@ def test_coverage_criterion_iff_completion_exists():
         for xs, ys, zs in _triple_configs(g, cls):
             if not zs:
                 continue
-            hits = clique_neighbor_counts(g, zs, itertools.chain(xs, ys))
+            hits = {
+                u: sum(z in g.neighbor_set(u) for z in zs)
+                for u in itertools.chain(xs, ys)
+            }
             for x in xs:
                 for y in ys:
                     if y in g.neighbor_set(x):
@@ -201,8 +202,6 @@ def test_extend_to_three_examples():
     triple = extend_to_three(cycle(7), (0, 2))
     assert triple == (0, 2, 4)
     assert extend_to_three(cycle(5), (0, 2)) is None
-    with pytest.raises(NotStableError):
-        extend_to_three(cycle(5), (0, 1))
 
 
 def test_extend_to_three_matches_brute_alpha():
@@ -223,8 +222,6 @@ def test_extend_to_four_examples():
     quad = extend_to_four(cycle(9), (0, 2, 4))
     assert quad is not None and is_stable_set(cycle(9), quad)
     assert extend_to_four(cycle(7), (0, 2, 4)) is None
-    with pytest.raises(NotStableError):
-        extend_to_four(cycle(9), (0, 1, 4))
 
 
 def test_extend_to_four_surfaces_claw():

@@ -162,6 +162,10 @@ def test_release_build_prints_the_same_line_on_every_input(tmp_path, capsys):
         ["verify", "--max-n", "2"],
         ["verify", "--max-n", "-1"],
         ["verify", "--count", "-5"],
+        ["verify", "--max-n", "1048577"],
+        ["gen", "--size", "10", "--wlo", "-99999999999999999999", "--out", "unused"],
+        ["gen", "--kind", "cycle", "--size", "1048577", "--out", "unused"],
+        ["bench", "--sizes", "183251588438", "--out", "unused.csv"],
     ],
     ids=" ".join,
 )

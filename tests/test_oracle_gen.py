@@ -8,6 +8,7 @@ from clawmwss.gen import (
     sample_spec,
     verify_certificate,
 )
+from clawmwss.graph import NODE_LIMIT, WEIGHT_LIMIT
 from clawmwss.oracles import (
     brute_alpha_min4,
     brute_is_clawfree,
@@ -121,6 +122,20 @@ def test_generate_rejects_bad_specs():
         generate(GenSpec("no_such_kind", size=5, seed=0))
     with pytest.raises(ValueError):
         generate(GenSpec("cycle", size=5, weight_lo=3, weight_hi=2, seed=0))
+    # Exactly what read_instance accepts: weights up to 2^61 in magnitude
+    # and at most 2^20 nodes.  The values just above each cap are refused
+    # before anything is allocated.
+    _, weights, _ = generate(GenSpec("cycle", 5, -WEIGHT_LIMIT, WEIGHT_LIMIT, seed=0))
+    assert max(map(abs, weights)) <= WEIGHT_LIMIT
+    for lo, hi in ((-WEIGHT_LIMIT - 1, 0), (0, WEIGHT_LIMIT + 1)):
+        with pytest.raises(ValueError):
+            generate(GenSpec("cycle", size=5, weight_lo=lo, weight_hi=hi, seed=0))
+    for kind in ("cycle", "complement_triangle_free"):
+        with pytest.raises(ValueError):
+            generate(GenSpec(kind, size=NODE_LIMIT + 1, seed=0))
+    # The smallest line_graph_cover3 size whose bound 3d + 3 passes 2^20.
+    with pytest.raises(ValueError):
+        generate(GenSpec("line_graph_cover3", size=183_251_588_438, seed=0))
 
 
 def test_generator_outputs_are_certified_claw_free():

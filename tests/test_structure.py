@@ -5,7 +5,6 @@ import pytest
 from clawmwss import (
     Claw,
     ClawWitnessError,
-    NotStableError,
     build_graph,
     find_claw,
     generate,
@@ -94,12 +93,6 @@ def test_classify_pair():
     assert list(cls.exclusive_to(2)) == [3]
     assert list(cls.shared_by(0, 2)) == [1]
     assert list(cls.detached) == [4, 5]
-
-
-def test_classify_rejects_non_stable_anchors():
-    with pytest.raises(NotStableError) as excinfo:
-        classify(complete(4), (0, 1))
-    assert excinfo.value.edge == (0, 1)
 
 
 def test_classify_reports_claw_for_universal_node():

@@ -5,7 +5,6 @@ import pytest
 from clawmwss import (
     AlphaAtLeast4,
     ClawWitnessError,
-    NotStableError,
     Optimal,
     build_graph,
     mwss_alpha3,
@@ -30,7 +29,7 @@ from clawmwss.weighted import (
     weighted_three_sets,
 )
 
-from helpers import complete, cycle, random_clawfree, random_graph
+from helpers import complete, cycle, prefix_rows, random_clawfree, random_graph
 
 
 def _greedy_clique(g, start):
@@ -41,27 +40,29 @@ def _greedy_clique(g, start):
     return sorted(members)
 
 
-def test_prefix_table_invariants():
+def test_clique_masks_match_neighbor_sets():
+    # Any graph, claw or not: the masks mirror adjacency bit by bit, and
+    # first_free is the first clique node in order adjacent to neither probe.
     rng = SplitMix64(60)
     for _ in range(200):
         g = random_graph(rng, rng.randint(2, 18), rng.randint(10, 90))
-        weights = [rng.randint(-20, 20) for _ in range(g.n)]
         clique = _greedy_clique(g, rng.below(g.n))
+        k = rng.below(len(clique))
+        order = clique[k:] + clique[:k]
         probes = [v for v in range(g.n) if v not in clique]
-        prefix = OrderedCliquePrefix.build(g, weights, clique, probes)
-        p = len(prefix.order)
-        assert sorted(prefix.order) == clique
-        for i in range(1, p):
-            za, zb = prefix.order[i - 1], prefix.order[i]
-            assert weights[za] > weights[zb] or (
-                weights[za] == weights[zb] and za < zb
-            )
+        clique_masks = OrderedCliquePrefix.build(g, order, probes)
+        assert clique_masks.order == tuple(order)
         for u in probes:
-            row = prefix.counts[u]
-            assert row[0] == 0
-            for i in range(1, p + 1):
-                assert row[i] - row[i - 1] in (0, 1)
-            assert row[p] == sum(1 for z in clique if z in g.neighbor_set(u))
+            for i, z in enumerate(order):
+                assert bool(clique_masks.masks[u] >> i & 1) == (z in g.neighbor_set(u))
+        for a in probes:
+            for b in probes:
+                free = [
+                    z
+                    for z in order
+                    if z not in g.neighbor_set(a) and z not in g.neighbor_set(b)
+                ]
+                assert clique_masks.first_free(a, b) == (free[0] if free else None)
 
 
 def test_weighted_three_sets_prefers_heaviest_reachable():
@@ -134,6 +135,23 @@ def test_weighted_three_sets_matches_brute_force():
     assert checked >= 10_000
 
 
+def test_weighted_three_sets_exact_without_claw_freeness():
+    # On arbitrary graphs the prefix predicate need not be monotone; the
+    # search must still return the brute-force best triple.
+    rng = SplitMix64(65)
+    for _ in range(1500):
+        g = random_graph(rng, rng.randint(3, 14), rng.randint(10, 90))
+        weights = [rng.randint(-5, 5) for _ in range(g.n)]
+        zs = _greedy_clique(g, rng.below(g.n))
+        xs, ys = [], []
+        for v in range(g.n):
+            if v not in zs:
+                (xs if rng.below(2) else ys).append(v)
+        found = weighted_three_sets(g, weights, xs, ys, zs)
+        brute = _brute_best_triple(g, weights, xs, ys, zs)
+        assert found == (None if brute is None else (brute[1], brute[0]))
+
+
 def test_prefix_predicate_is_monotone():
     # Once a prefix leaves a gap for a pair, every longer prefix does too.
     rng = SplitMix64(62)
@@ -141,15 +159,14 @@ def test_prefix_predicate_is_monotone():
         for xs, ys, zs in _role_configs(cls):
             if not zs:
                 continue
-            prefix = OrderedCliquePrefix.build(
-                g, weights, zs, itertools.chain(xs, ys)
-            )
-            p = len(prefix.order)
+            order = sorted(zs, key=lambda z: (-weights[z], z))
+            rows = prefix_rows(g, order, itertools.chain(xs, ys))
+            p = len(order)
             for x in xs:
                 for y in ys:
                     if y in g.neighbor_set(x):
                         continue
-                    row_x, row_y = prefix.counts[x], prefix.counts[y]
+                    row_x, row_y = rows[x], rows[y]
                     seen_true = False
                     for i in range(1, p + 1):
                         holds = row_x[i] + row_y[i] < i
@@ -228,11 +245,6 @@ def test_mwss_intersecting_prefers_heavy_anchor():
     c6 = cycle(6)
     nodes, weight = mwss_intersecting(c6, [10, -5, -7, -5, -7, -5], (0, 2, 4))
     assert (nodes, weight) == ((0,), 10)
-
-
-def test_mwss_intersecting_rejects_non_stable_anchors():
-    with pytest.raises(NotStableError):
-        mwss_intersecting(cycle(6), [1] * 6, (0, 1, 3))
 
 
 def test_path6_on_c7():
