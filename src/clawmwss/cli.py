@@ -15,9 +15,11 @@ Exit codes: 0 optimal / success, 1 input or usage error, 2 alpha >= 4,
 from __future__ import annotations
 
 import argparse
+import json
+import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import log2
 from typing import Callable, Sequence
 
@@ -261,22 +263,38 @@ def render_csv(records: Sequence[BenchRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_json(records: Sequence[BenchRecord], seed: int) -> str:
+    """The CSV's records plus what they were measured under: the Python
+    version, the build mode (``__debug__``, false under ``python -O``) and
+    the seed."""
+    doc = {
+        "python": platform.python_version(),
+        "debug": __debug__,
+        "seed": seed,
+        "records": [asdict(r) for r in records],
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
         sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
     except ValueError:
         return _error(f"--sizes is not a comma-separated integer list: {args.sizes!r}")
+    if not sizes:
+        return _error("--sizes lists no size")
     try:
         records = run_bench(sizes, args.seed)
     except ValueError as exc:
         return _error(exc)
     if not _save(args.out, render_csv(records)):
         return EXIT_INPUT_ERROR
-    if records:
-        ratios = [r.ratio for r in records]
-        lo, hi = min(ratios), max(ratios)
-        spread = hi / lo if lo > 0 else float("inf")
-        print(f"RATIO min={lo:.6f} max={hi:.6f} spread={spread:.3f}")
+    if args.json_out and not _save(args.json_out, render_json(records, args.seed)):
+        return EXIT_INPUT_ERROR
+    ratios = [r.ratio for r in records]
+    lo, hi = min(ratios), max(ratios)
+    spread = hi / lo if lo > 0 else float("inf")
+    print(f"RATIO min={lo:.6f} max={hi:.6f} spread={spread:.3f}")
     return EXIT_OK
 
 
@@ -326,6 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated target edge counts")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
+    p.add_argument("--json", dest="json_out", metavar="FILE",
+                   help="also write the records, Python version, build mode and seed")
     p.set_defaults(func=cmd_bench)
     return parser
 

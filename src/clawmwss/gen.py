@@ -198,6 +198,8 @@ def generate(spec: GenSpec) -> tuple[Graph, list[int], Certificate]:
     """Produce (graph, weights, certificate) deterministically from the spec."""
     if spec.kind not in _GENERATORS:
         raise ValueError(f"unknown generator kind {spec.kind!r}")
+    if spec.size < 0:
+        raise ValueError(f"negative size: {spec.size}")
     if spec.weight_lo > spec.weight_hi:
         raise ValueError("empty weight range")
     # Refuse what read_instance would refuse, before allocating anything.

@@ -13,6 +13,11 @@ predicate.  The top-level solver enumerates the handful of shapes a size-3
 stable set can take relative to a maximum stable triple and returns the
 best candidate overall.
 
+The pair searches are output-sensitive: they walk nodes heaviest first, a
+node's best partner is its first non-neighbour, and a search stops once no
+candidate left can reach its best weight.  They ask at most the pairs of a
+full scan, often far fewer, and return the same answer.
+
 All ties break lexicographically on node tuples so outputs are reproducible.
 """
 
@@ -80,6 +85,11 @@ class _Best:
             self.nodes = nodes
             self.weight = weight
 
+    def beats(self, weight: int) -> bool:
+        """True when the best so far is strictly heavier than ``weight``, so
+        no candidate of that weight can win, not even on a tie."""
+        return self.nodes is not None and weight < self.weight
+
     def add(self, found: Found | None) -> None:
         """Offer a search result, with its nodes sorted."""
         if found is not None:
@@ -89,13 +99,35 @@ class _Best:
         return None if self.nodes is None else (self.nodes, self.weight)
 
 
-def _offer_pairs(g: Graph, weights: Sequence[int], nodes: list[int], best: _Best) -> None:
-    """Offer every non-adjacent pair of the ascending ``nodes``."""
-    for i, a in enumerate(nodes):
+def _by_weight(weights: Sequence[int], nodes: Iterable[int]) -> list[int]:
+    """``nodes`` sorted by (-weight, id): heaviest first, ties by id."""
+    return sorted(nodes, key=lambda v: (-weights[v], v))
+
+
+def _offer_pairs(g: Graph, weights: Sequence[int], nodes: Iterable[int], best: _Best) -> None:
+    """Offer each node's best non-adjacent partner among ``nodes``.
+
+    Nodes are scanned in (-weight, id) order, and each node asks only the
+    partners after it in that order, stopping at the first non-neighbour: no
+    later partner is heavier, and among equal weights the smaller id gives
+    the smaller sorted pair.  A pair that comes earlier in the order is
+    covered by its other node's scan.  A scan, or the whole search, stops
+    once the pair weight falls strictly below ``best``, so only candidates
+    that cannot win are skipped.  At most C(k, 2) queries for k nodes.
+    """
+    order = _by_weight(weights, nodes)
+    for i, a in enumerate(order):
         wa = weights[a]
-        for b in nodes[i + 1 :]:
+        for j in range(i + 1, len(order)):
+            b = order[j]
+            w = wa + weights[b]
+            if best.beats(w):
+                if j == i + 1:
+                    return  # every later pair is lighter still
+                break
             if not g.adjacent(a, b):
-                best.offer((a, b), wa + weights[b])
+                best.offer((a, b) if a < b else (b, a), w)
+                break
 
 
 def weighted_three_sets(
@@ -104,20 +136,29 @@ def weighted_three_sets(
     """Maximum-weight stable triple (x, y, z) over X x Y x the clique Z.
 
     Z is sorted by (-weight, id), so for each non-adjacent probe pair the
-    heaviest compatible clique node is ``first_free`` of the pair.  Returns
-    the best triple with its weight, or None when no stable triple exists.
+    heaviest compatible clique node is ``first_free`` of the pair.  X and Y
+    are walked in the same order, and both loops stop once x, y and the
+    heaviest clique node weigh strictly less than the best triple, so at
+    most |X| * |Y| pairs are asked.  Returns the best triple with its
+    weight, or None when no stable triple exists.
     The caller proves that X, Y, Z are disjoint parts of one ``classify``
     partition and that Z is a clique (in ``extend_to_four`` or
     ``mwss_type_cycle6``).
     """
     if not xs or not ys or not zs:
         return None
-    order = sorted(zs, key=lambda z: (-weights[z], z))
+    order = _by_weight(weights, zs)
     clique = OrderedCliquePrefix.build(g, order, chain(xs, ys))
+    top_z = weights[order[0]]
+    ys = _by_weight(weights, ys)
     best = _Best()
-    for x in xs:
+    for x in _by_weight(weights, xs):
         wx = weights[x]
         for y in ys:
+            if best.beats(wx + weights[y] + top_z):
+                if y == ys[0]:
+                    return best.result()  # every later x is lighter still
+                break
             if g.adjacent(x, y):
                 continue
             z = clique.first_free(x, y)
@@ -127,12 +168,13 @@ def weighted_three_sets(
 
 
 def mwss_small(g: Graph, weights: Sequence[int], pool: Iterable[int]) -> Found | None:
-    """Best stable set of size 1 or 2 inside the pool, by exhaustive scan.
+    """Best stable set of size 1 or 2 inside the pool.
 
-    None when the pool is empty.  O(|pool|^2) adjacency queries; affordable
-    because node counts are O(sqrt(m)) whenever alpha <= 3.
+    None when the pool is empty.  At most C(k, 2) adjacency queries for k
+    pool nodes: each node stops at its first non-neighbour (see
+    ``_offer_pairs``).  Node counts are O(sqrt(m)) whenever alpha <= 3.
     """
-    nodes = sorted(pool)
+    nodes = list(pool)
     best = _Best()
     for v in nodes:
         best.offer((v,), weights[v])
@@ -248,7 +290,7 @@ def mwss_type_iii(g: Graph, weights: Sequence[int], cls: Classification) -> Foun
                 raise ClawWitnessError(crossing[1], (crossing[0], b, c))
             z = min(f_a, key=lambda node: (-weights[node], node))
             pair = _Best()
-            _offer_pairs(g, weights, sorted(shared_bc), pair)
+            _offer_pairs(g, weights, shared_bc, pair)
             if pair.nodes is not None:
                 best.add((pair.nodes + (z,), pair.weight + weights[z]))
     return best.result()
@@ -278,9 +320,13 @@ def mwss_alpha3(
 
     keep = [v for v in range(g.n) if weights[v] >= 0]
     dropped = g.n - len(keep)
-    sub, _ = induced_subgraph(g, keep)
-    sub = sub.with_counter(g.counter)
-    sub_weights = [weights[v] for v in keep]
+    if dropped:
+        sub, _ = induced_subgraph(g, keep)
+        sub = sub.with_counter(g.counter)
+        sub_weights = [weights[v] for v in keep]
+    else:
+        # Nothing to drop: the rebuild would copy g with the same ids.
+        sub, sub_weights = g, weights
 
     try:
         report = stable_set_min_alpha4(sub)

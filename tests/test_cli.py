@@ -1,4 +1,6 @@
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -166,6 +168,9 @@ def test_release_build_prints_the_same_line_on_every_input(tmp_path, capsys):
         ["gen", "--size", "10", "--wlo", "-99999999999999999999", "--out", "unused"],
         ["gen", "--kind", "cycle", "--size", "1048577", "--out", "unused"],
         ["bench", "--sizes", "183251588438", "--out", "unused.csv"],
+        ["gen", "--kind", "line_graph_cover3", "--size", "-5", "--out", "unused"],
+        ["bench", "--sizes", "-5", "--out", "unused.csv"],
+        ["bench", "--sizes", "", "--out", "unused.csv"],
     ],
     ids=" ".join,
 )
@@ -341,8 +346,9 @@ def test_verify_unwritable_dump_reports_error(tmp_path, capsys, monkeypatch):
 
 
 def test_bench_records_and_csv(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    rc = main(["bench", "--sizes", "64,256", "--seed", "1", "--out", str(out)])
+    out, out_json = tmp_path / "bench.csv", tmp_path / "bench.json"
+    rc = main(["bench", "--sizes", "64,256", "--seed", "1", "--out", str(out),
+               "--json", str(out_json)])
     assert rc == 0
     lines = out.read_text(encoding="ascii").splitlines()
     assert lines[0] == "instance,n,m,queries,ns,ratio"
@@ -354,12 +360,15 @@ def test_bench_records_and_csv(tmp_path, capsys):
         float(fields[5])
     assert capsys.readouterr().out.startswith("RATIO min=")
 
-
-def test_bench_empty_sizes_writes_header_only(tmp_path, capsys):
-    out = tmp_path / "empty.csv"
-    assert main(["bench", "--sizes", "", "--seed", "1", "--out", str(out)]) == 0
-    assert out.read_text(encoding="ascii") == "instance,n,m,queries,ns,ratio\n"
-    assert capsys.readouterr().out == ""
+    # The JSON file holds the same rows, plus what they were measured under.
+    doc = json.loads(out_json.read_text(encoding="ascii"))
+    assert (doc["python"], doc["debug"], doc["seed"]) == (platform.python_version(), __debug__, 1)
+    json_rows = [
+        ",".join(str(r[k]) for k in ("instance", "n", "m", "queries", "ns"))
+        + f",{r['ratio']:.6f}"
+        for r in doc["records"]
+    ]
+    assert json_rows == lines[1:]
 
 
 def test_render_csv_exact_format():

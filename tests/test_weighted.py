@@ -21,6 +21,8 @@ from clawmwss.oracles import (
 from clawmwss.structure import classify
 from clawmwss.weighted import (
     OrderedCliquePrefix,
+    _Best,
+    _offer_pairs,
     mwss_intersecting,
     mwss_small,
     mwss_type_cycle6,
@@ -135,13 +137,11 @@ def test_weighted_three_sets_matches_brute_force():
     assert checked >= 10_000
 
 
-def test_weighted_three_sets_exact_without_claw_freeness():
-    # On arbitrary graphs the prefix predicate need not be monotone; the
-    # search must still return the brute-force best triple.
-    rng = SplitMix64(65)
+def _check_three_sets_on_random_graphs(seed, lo, hi):
+    rng = SplitMix64(seed)
     for _ in range(1500):
         g = random_graph(rng, rng.randint(3, 14), rng.randint(10, 90))
-        weights = [rng.randint(-5, 5) for _ in range(g.n)]
+        weights = [rng.randint(lo, hi) for _ in range(g.n)]
         zs = _greedy_clique(g, rng.below(g.n))
         xs, ys = [], []
         for v in range(g.n):
@@ -150,6 +150,18 @@ def test_weighted_three_sets_exact_without_claw_freeness():
         found = weighted_three_sets(g, weights, xs, ys, zs)
         brute = _brute_best_triple(g, weights, xs, ys, zs)
         assert found == (None if brute is None else (brute[1], brute[0]))
+
+
+def test_weighted_three_sets_exact_without_claw_freeness():
+    # On arbitrary graphs the prefix predicate need not be monotone; the
+    # search must still return the brute-force best triple.
+    _check_three_sets_on_random_graphs(65, -5, 5)
+
+
+def test_weighted_three_sets_exact_on_ties():
+    # Weights 1..3 make many triples tie: the search may skip only triples
+    # strictly lighter than its best, so the exact (x, y, z) must survive.
+    _check_three_sets_on_random_graphs(68, 1, 3)
 
 
 def test_prefix_predicate_is_monotone():
@@ -208,29 +220,58 @@ def test_mwss_small_examples():
     assert mwss_small(k5, [1, 2, 3, 4, 5], []) is None
 
 
+def _brute_best_small(g, weights, pool, sizes):
+    best = None
+    for size in sizes:
+        for nodes in itertools.combinations(sorted(pool), size):
+            if not is_stable_set(g, nodes):
+                continue
+            cand = (sum(weights[v] for v in nodes), nodes)
+            if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
+                best = cand
+    return None if best is None else (best[1], best[0])
+
+
 def test_mwss_small_matches_brute_force():
     rng = SplitMix64(64)
     for _ in range(300):
         g = random_graph(rng, rng.randint(1, 16), rng.randint(0, 100))
         weights = [rng.randint(-10, 10) for _ in range(g.n)]
         pool = [v for v in range(g.n) if rng.below(4)]
-        found = mwss_small(g, weights, pool)
-        best = None
-        for size in (1, 2):
-            for nodes in itertools.combinations(sorted(pool), size):
-                if not is_stable_set(g, nodes):
-                    continue
-                cand = (sum(weights[v] for v in nodes), nodes)
-                if (
-                    best is None
-                    or cand[0] > best[0]
-                    or (cand[0] == best[0] and cand[1] < best[1])
-                ):
-                    best = cand
-        if best is None:
-            assert found is None
-        else:
-            assert found == (best[1], best[0])
+        assert mwss_small(g, weights, pool) == _brute_best_small(g, weights, pool, (1, 2))
+
+
+def test_pair_searches_match_brute_force_on_ties():
+    # Tie-heavy weights: mwss_small, and the pair search of mwss_type_iii
+    # from a fresh accumulator, return the brute-force best (ties to the
+    # smallest sorted tuple) with at most C(k, 2) queries for k pool nodes.
+    rng = SplitMix64(69)
+    for lo, hi in ((0, 2), (-3, 3)):
+        for _ in range(400):
+            g = random_graph(rng, rng.randint(1, 16), rng.randint(0, 100))
+            weights = [rng.randint(lo, hi) for _ in range(g.n)]
+            pool = [v for v in range(g.n) if rng.below(4)]
+            k = len(pool)
+
+            view = g.with_counter()
+            assert mwss_small(view, weights, pool) == _brute_best_small(g, weights, pool, (1, 2))
+            assert view.counter.count <= k * (k - 1) // 2
+
+            view = g.with_counter()
+            pair = _Best()
+            _offer_pairs(view, weights, pool, pair)
+            assert pair.result() == _brute_best_small(g, weights, pool, (2,))
+            assert view.counter.count <= k * (k - 1) // 2
+
+
+def test_mwss_small_stops_at_first_non_neighbour():
+    # An edgeless pool with distinct weights: the two heaviest nodes form
+    # the best pair, and every other pair is lighter, so one query decides.
+    g = build_graph(50, [])
+    weights = [(7 * v) % 50 + 1 for v in range(50)]
+    view = g.with_counter()
+    assert mwss_small(view, weights, range(50)) == ((7, 14), 99)
+    assert view.counter.count == 1
 
 
 def test_mwss_intersecting_c7():
