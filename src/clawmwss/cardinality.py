@@ -189,7 +189,7 @@ def stable_set_min_alpha4(g: Graph) -> StableSetReport:
     """Stable set of size min(alpha(G), 4) for a claw-free graph.
 
     Claw-freeness is assumed and only incidentally detected (as
-    ClawWitnessError); ``mwss_alpha3(validate=True)`` checks it up front.
+    ClawWitnessError); ``structure.find_claw`` checks it up front.
     """
     if g.n == 0:
         return StableSetReport(())

@@ -20,22 +20,29 @@ import platform
 import sys
 import time
 from dataclasses import asdict, dataclass
-from math import log2
+from math import isqrt, log2
 from typing import Callable, Sequence
 
 from .errors import ClawWitnessError, InstanceFormatError
-from .gen import GenSpec, KINDS, SplitMix64, generate, sample_spec, verify_certificate
-from .graph import NODE_LIMIT, Graph, induced_subgraph, total_weight
+from .gen import (
+    EDGE_LIMIT, KINDS, GenSpec, SplitMix64, generate, sample_spec, verify_certificate
+)
+from .graph import Graph, induced_subgraph, total_weight
 from .instances import read_instance, write_instance
 from .oracles import brute_alpha_min4, brute_mwss, is_stable_set
 from .cardinality import stable_set_min_alpha4
-from .structure import find_claw
+from .structure import Claw, find_claw
 from .weighted import AlphaAtLeast4, Optimal, SolveOutcome, mwss_alpha3
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_ALPHA_GE_4 = 2
 EXIT_NOT_CLAW_FREE = 3
+
+# The largest --max-n for which every spec sample_spec draws passes
+# generate: a complement_triangle_free instance on n nodes may have
+# C(n, 2) <= n^2 / 2 edges.
+VERIFY_MAX_N = isqrt(2 * EDGE_LIMIT)
 
 
 def _ids(nodes: Sequence[int]) -> str:
@@ -68,16 +75,23 @@ def _save(path: str, text: str) -> bool:
     return True
 
 
+def _not_claw_free(claw: Claw | ClawWitnessError) -> int:
+    print(f"NOT_CLAW_FREE center={claw.center + 1} leaves={_ids(claw.leaves)}")
+    return EXIT_NOT_CLAW_FREE
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         g, weights = _load(args.input)
     except _INPUT_ERRORS as exc:
         return _error(exc)
+    claw = find_claw(g) if args.validate else None
+    if claw is not None:
+        return _not_claw_free(claw)
     try:
-        outcome = mwss_alpha3(g, weights, validate=args.validate)
+        outcome = mwss_alpha3(g, weights)
     except ClawWitnessError as exc:
-        print(f"NOT_CLAW_FREE center={exc.center + 1} leaves={_ids(exc.leaves)}")
-        return EXIT_NOT_CLAW_FREE
+        return _not_claw_free(exc)
     if isinstance(outcome, AlphaAtLeast4):
         print(f"ALPHA_GE_4 witness={_ids(outcome.witness)}")
         return EXIT_ALPHA_GE_4
@@ -92,8 +106,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return _error(exc)
     claw = find_claw(g)
     if claw is not None:
-        print(f"NOT_CLAW_FREE center={claw.center + 1} leaves={_ids(claw.leaves)}")
-        return EXIT_NOT_CLAW_FREE
+        return _not_claw_free(claw)
     report = stable_set_min_alpha4(g)
     if report.alpha_at_least_4:
         print("CLAW_FREE alpha>=4")
@@ -204,8 +217,8 @@ def _check_one(g: Graph, weights: list[int], solve: Callable[..., SolveOutcome])
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.count < 0 or not 3 <= args.max_n <= NODE_LIMIT:
-        return _error(f"verify needs --count >= 0 and 3 <= --max-n <= {NODE_LIMIT}")
+    if args.count < 0 or not 3 <= args.max_n <= VERIFY_MAX_N:
+        return _error(f"verify needs --count >= 0 and 3 <= --max-n <= {VERIFY_MAX_N}")
     summary = verify_instances(args.count, args.seed, args.max_n)
     print(
         f"VERIFY total={summary.total} pass={summary.passed} "

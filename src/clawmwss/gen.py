@@ -18,7 +18,8 @@ specs produce bit-identical instances on every platform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
+from itertools import chain, combinations, repeat
+from math import comb, isqrt
 from typing import Sequence
 
 from .graph import NODE_LIMIT, WEIGHT_LIMIT, Graph, build_graph
@@ -27,6 +28,12 @@ from .oracles import brute_alpha_min4, brute_is_clawfree
 _MASK64 = (1 << 64) - 1
 
 KINDS = ("line_graph_cover3", "complement_triangle_free", "cycle")
+
+# Specs whose instance could have more edges than this are refused before
+# anything is allocated.  Generating or solving a 2^18-edge line graph peaks
+# at about 300 bytes per edge, so the largest accepted instance needs about
+# 2.3 GiB.
+EDGE_LIMIT = 1 << 23
 
 
 class SplitMix64:
@@ -98,12 +105,8 @@ def line_graph(host_n: int, host_edges: Sequence[tuple[int, int]]) -> Graph:
     for idx, (u, v) in enumerate(host_edges):
         incident[u].append(idx)
         incident[v].append(idx)
-    edges = []
-    for ids in incident:
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                edges.append((ids[i], ids[j]))
-    return build_graph(len(host_edges), edges)
+    pairs = chain.from_iterable(map(combinations, incident, repeat(2)))
+    return build_graph(len(host_edges), pairs)
 
 
 def _center_degree(size: int) -> int:
@@ -206,11 +209,20 @@ def generate(spec: GenSpec) -> tuple[Graph, list[int], Certificate]:
     if max(abs(spec.weight_lo), abs(spec.weight_hi)) > WEIGHT_LIMIT:
         raise ValueError(f"weight range exceeds {WEIGHT_LIMIT} in magnitude")
     if spec.kind == "line_graph_cover3":
-        max_nodes = 3 * _center_degree(spec.size) + 3
-    else:
+        d = _center_degree(spec.size)
+        max_nodes = 3 * d + 3
+        # sum C(deg, 2) over the host: three centers of degree <= d + 2 and
+        # at most 1.5d pool leaves of degree <= 3.
+        max_edges = 3 * comb(d + 2, 2) + 5 * d
+    elif spec.kind == "complement_triangle_free":
         max_nodes = spec.size
+        max_edges = comb(spec.size, 2)  # also the node pairs it scans
+    else:
+        max_nodes = max_edges = spec.size
     if max_nodes > NODE_LIMIT:
         raise ValueError(f"{spec.kind} of size {spec.size} would exceed {NODE_LIMIT} nodes")
+    if max_edges > EDGE_LIMIT:
+        raise ValueError(f"{spec.kind} of size {spec.size} would exceed {EDGE_LIMIT} edges")
     rng = SplitMix64(spec.seed)
     g, cert = _GENERATORS[spec.kind](spec, rng)
     weights = [rng.randint(spec.weight_lo, spec.weight_hi) for _ in range(g.n)]

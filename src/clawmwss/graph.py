@@ -3,9 +3,11 @@
 The solvers in this package are analysed by the number of adjacency queries
 they make, so every pairwise adjacency decision on a solve path must go
 through :meth:`Graph.adjacent`, which bumps a per-context counter.  Direct
-structure access (neighbor lists, degrees) is free and intentionally not
-counted; it is only used where the algorithm genuinely reads stored data
-rather than asking "is u adjacent to v?".
+structure access (neighbor sets and lists, degrees) is free and
+intentionally not counted; it is only used where the algorithm genuinely
+reads stored data rather than asking "is u adjacent to v?".  A graph keeps
+one adjacency store, a frozenset of neighbors per node; sorted neighbor
+lists and the edge list are derived from it on demand.
 """
 
 from __future__ import annotations
@@ -38,25 +40,24 @@ class QueryCounter:
 class Graph:
     """Immutable simple graph on nodes 0..n-1.
 
-    Adjacency lists are sorted ascending; membership sets give the adjacency
-    oracle constant expected time per query.  The query counter belongs to a
-    solve context: concurrent solves over the same structure should each use
-    their own view obtained via :meth:`with_counter`.
+    One frozenset of neighbors per node is the only adjacency store; it
+    gives the oracle constant expected time per query, and :meth:`neighbors`
+    sorts it on demand.  The query counter belongs to a solve context:
+    concurrent solves over the same structure should each use their own view
+    obtained via :meth:`with_counter`.
     """
 
-    __slots__ = ("n", "m", "_adj", "_memb", "counter")
+    __slots__ = ("n", "m", "_memb", "counter")
 
     def __init__(
         self,
         n: int,
-        adj: list[tuple[int, ...]],
         memb: list[frozenset[int]],
         m: int,
         counter: QueryCounter | None = None,
     ):
         self.n = n
         self.m = m
-        self._adj = adj
         self._memb = memb
         self.counter = counter if counter is not None else QueryCounter()
 
@@ -69,51 +70,47 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted neighbor list of v (structure access, not counted)."""
-        return self._adj[v]
+        return tuple(sorted(self._memb[v]))
 
     def neighbor_set(self, v: int) -> frozenset[int]:
         return self._memb[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self._memb[v])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically ascending."""
         for u in range(self.n):
-            for v in self._adj[u]:
+            for v in sorted(self._memb[u]):
                 if u < v:
                     yield (u, v)
 
     def with_counter(self, counter: QueryCounter | None = None) -> "Graph":
         """Shallow view sharing structure but owning a fresh query counter."""
-        return Graph(self.n, self._adj, self._memb, self.m, counter or QueryCounter())
+        return Graph(self.n, self._memb, self.m, counter or QueryCounter())
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from an edge list.
+    """Build a Graph from a stream of edges.
 
     Duplicate edges (in either orientation) are collapsed; self-loops and
     out-of-range ids are rejected.
     """
     if n < 0:
         raise ValueError(f"negative node count: {n}")
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    m = 0
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop at node {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        if v not in nbrs[u]:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-            m += 1
-    adj = [tuple(sorted(s)) for s in nbrs]
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     memb = [frozenset(s) for s in nbrs]
-    return Graph(n, adj, memb, m)
+    return Graph(n, memb, sum(map(len, memb)) // 2)
 
 
 def is_clique_or_witness(g: Graph, nodes: Sequence[int]) -> tuple[int, int] | None:
@@ -190,12 +187,12 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
     """
     kept = sorted(set(keep))
     idmap = {old: new for new, old in enumerate(kept)}
-    edges = []
-    for old in kept:
-        u = idmap[old]
-        for w in g.neighbors(old):
-            if w in idmap and old < w:
-                edges.append((u, idmap[w]))
+    edges = (
+        (u, idmap[w])
+        for u, old in enumerate(kept)
+        for w in g.neighbor_set(old)
+        if old < w and w in idmap
+    )
     return build_graph(len(kept), edges), idmap
 
 

@@ -39,7 +39,7 @@ from .graph import (
     total_weight,
 )
 from .oracles import is_stable_set
-from .structure import Classification, classify, find_claw
+from .structure import Classification, classify
 
 
 @dataclass(frozen=True)
@@ -296,9 +296,7 @@ def mwss_type_iii(g: Graph, weights: Sequence[int], cls: Classification) -> Foun
     return best.result()
 
 
-def mwss_alpha3(
-    g: Graph, weights: Sequence[int], validate: bool = False
-) -> SolveOutcome:
+def mwss_alpha3(g: Graph, weights: Sequence[int]) -> SolveOutcome:
     """Solve the maximum-weight stable set problem when alpha(G) <= 3.
 
     Negative-weight nodes are dropped up front (they never help), the
@@ -313,10 +311,6 @@ def mwss_alpha3(
     per node, each of magnitude at most 2^61.
     """
     check_weights(g, weights)
-    if validate:
-        claw = find_claw(g)
-        if claw is not None:
-            raise ClawWitnessError(claw.center, claw.leaves)
 
     keep = [v for v in range(g.n) if weights[v] >= 0]
     dropped = g.n - len(keep)

@@ -165,9 +165,13 @@ def test_release_build_prints_the_same_line_on_every_input(tmp_path, capsys):
         ["verify", "--max-n", "-1"],
         ["verify", "--count", "-5"],
         ["verify", "--max-n", "1048577"],
+        ["verify", "--max-n", "4097"],
         ["gen", "--size", "10", "--wlo", "-99999999999999999999", "--out", "unused"],
         ["gen", "--kind", "cycle", "--size", "1048577", "--out", "unused"],
         ["bench", "--sizes", "183251588438", "--out", "unused.csv"],
+        ["gen", "--size", "8368566", "--out", "unused"],
+        ["bench", "--sizes", "8368566", "--out", "unused.csv"],
+        ["gen", "--kind", "complement_triangle_free", "--size", "4097", "--out", "unused"],
         ["gen", "--kind", "line_graph_cover3", "--size", "-5", "--out", "unused"],
         ["bench", "--sizes", "-5", "--out", "unused.csv"],
         ["bench", "--sizes", "", "--out", "unused.csv"],
@@ -310,7 +314,7 @@ def test_verify_small_run(capsys):
 
 
 def test_verify_harness_detects_injected_fault(tmp_path, capsys, monkeypatch):
-    def broken(g, weights, validate=False):
+    def broken(g, weights):
         return Optimal(nodes=(), weight=10**9, dropped_negative=0)
 
     summary = verify_instances(25, seed=2, max_n=20, solver=broken)

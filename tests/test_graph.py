@@ -3,6 +3,7 @@ import pytest
 from clawmwss import Graph, build_graph, stable_set_min_alpha4
 from clawmwss.gen import SplitMix64
 from clawmwss.graph import induced_subgraph, is_clique_or_witness, is_null_to
+from clawmwss.instances import write_instance
 from clawmwss.structure import classify
 
 from helpers import complete, cycle, edge_set, random_graph
@@ -25,6 +26,38 @@ def test_build_collapses_duplicate_edges():
     assert g.m == 2
     g = build_graph(4, [(0, 1), (1, 0), (2, 3)])
     assert g.m == 2
+
+
+def test_derived_views_match_the_distinct_edge_list():
+    rng = SplitMix64(808)
+    for _ in range(300):
+        n = rng.randint(1, 25)
+        percent = rng.randint(0, 100)
+        distinct = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.below(100) < percent
+        ]
+        # Each edge one to three times, each copy in a random orientation,
+        # shuffled.
+        stream = [
+            (u, v) if rng.below(2) else (v, u)
+            for u, v in distinct
+            for _ in range(rng.randint(1, 3))
+        ]
+        for i in range(len(stream) - 1, 0, -1):
+            j = rng.below(i + 1)
+            stream[i], stream[j] = stream[j], stream[i]
+        g = build_graph(n, stream)
+
+        assert g.m == len(distinct)
+        expected = f"p edge {n} {len(distinct)}\n" + "".join(
+            f"e {u + 1} {v + 1}\n" for u, v in distinct
+        )
+        assert write_instance(g, [1] * n) == expected
+        for v in range(n):
+            nbrs = g.neighbor_set(v)
+            assert nbrs == {b if a == v else a for a, b in distinct if v in (a, b)}
+            assert g.neighbors(v) == tuple(sorted(nbrs))
+            assert g.degree(v) == len(nbrs)
 
 
 def test_build_rejects_self_loop():

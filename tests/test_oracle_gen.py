@@ -2,6 +2,7 @@ import pytest
 
 from clawmwss import build_graph, generate, read_instance, write_instance
 from clawmwss.gen import (
+    EDGE_LIMIT,
     GenSpec,
     SplitMix64,
     line_graph,
@@ -136,6 +137,12 @@ def test_generate_rejects_bad_specs():
     # The smallest line_graph_cover3 size whose bound 3d + 3 passes 2^20.
     with pytest.raises(ValueError):
         generate(GenSpec("line_graph_cover3", size=183_251_588_438, seed=0))
+    # The smallest sizes whose edge bound passes EDGE_LIMIT = 2^23:
+    # 3 * C(d + 2, 2) + 5d at d = 2362, and C(4097, 2).
+    assert EDGE_LIMIT == 1 << 23
+    for kind, size in (("line_graph_cover3", 8_368_566), ("complement_triangle_free", 4097)):
+        with pytest.raises(ValueError, match=f"exceed {EDGE_LIMIT} edges"):
+            generate(GenSpec(kind, size=size, seed=0))
 
 
 def test_generator_outputs_are_certified_claw_free():
