@@ -30,9 +30,10 @@ _MASK64 = (1 << 64) - 1
 KINDS = ("line_graph_cover3", "complement_triangle_free", "cycle")
 
 # Specs whose instance could have more edges than this are refused before
-# anything is allocated.  Generating or solving a 2^18-edge line graph peaks
-# at about 300 bytes per edge, so the largest accepted instance needs about
-# 2.3 GiB.
+# anything is allocated.  On CPython 3.11, generating a 2^18-edge line graph
+# peaks at about 190 bytes per edge above the interpreter's resident size
+# (solving it at about 95), so the largest accepted instance needs about
+# 1.5 GiB.
 EDGE_LIMIT = 1 << 23
 
 

@@ -7,7 +7,9 @@ structure access (neighbor sets and lists, degrees) is free and
 intentionally not counted; it is only used where the algorithm genuinely
 reads stored data rather than asking "is u adjacent to v?".  A graph keeps
 one adjacency store, a frozenset of neighbors per node; sorted neighbor
-lists and the edge list are derived from it on demand.
+lists and the edge list are derived from it on demand.  The store takes
+O(n + m) words: the sets share one int object per node id, and each is a
+presized copy, with 2 to 4 hash-table slots per member.
 """
 
 from __future__ import annotations
@@ -97,20 +99,28 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from a stream of edges.
 
     Duplicate edges (in either orientation) are collapsed; self-loops and
-    out-of-range ids are rejected.
+    out-of-range ids are rejected.  The edges are read once and never held:
+    each end is appended to a per-node list as one of n shared int objects,
+    and each list is then replaced by a presized frozenset, so the finished
+    store holds n ints however many edges were streamed.
     """
     if n < 0:
         raise ValueError(f"negative node count: {n}")
-    nbrs: list[list[int]] = [[] for _ in range(n)]
+    ids = list(range(n))
+    nbrs: list = [[] for _ in ids]
     for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop at node {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    memb = [frozenset(s) for s in nbrs]
-    return Graph(n, memb, sum(map(len, memb)) // 2)
+        nbrs[u].append(ids[v])
+        nbrs[v].append(ids[u])
+    # A copy of a set is sized once, to 2 to 4 table slots per member;
+    # frozenset(list) grows in fourfold steps and can end near 7.
+    # Replacing in place frees each list as soon as its set exists.
+    for v, s in enumerate(nbrs):
+        nbrs[v] = frozenset(set(s))
+    return Graph(n, nbrs, sum(map(len, nbrs)) // 2)
 
 
 def is_clique_or_witness(g: Graph, nodes: Sequence[int]) -> tuple[int, int] | None:

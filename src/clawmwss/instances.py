@@ -13,7 +13,7 @@ Nodes are dense 0-based internally; the reader/writer shift by one.
 from __future__ import annotations
 
 import io
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 from .errors import InstanceFormatError
 from .graph import NODE_LIMIT, WEIGHT_LIMIT, Graph, build_graph
@@ -31,16 +31,24 @@ def read_instance(stream: IO[str] | str) -> tuple[Graph, list[int]]:
 
     Accepts a text stream or a string.  Raises InstanceFormatError with the
     offending 1-based line number on any malformed input, including any
-    non-ASCII character.
+    non-ASCII character.  The edge lines stream straight into
+    :func:`build_graph`; no edge list is held.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
+    weights: list[int] = []
+    lines = _parse(stream, weights)
+    n = next(lines)
+    return build_graph(n, lines), weights
 
+
+def _parse(stream: IO[str], weights: list[int]) -> Iterator:
+    """Yield the node count once the problem line is read, then each edge
+    as a 0-based pair; weight lines fill ``weights`` on the way, wherever
+    they stand.  The edge count is checked when the stream ends."""
     n = -1
     m_declared = -1
-    weights: list[int] = []
     weighted: set[int] = set()
-    edges: list[tuple[int, int]] = []
     edge_lines = 0
     last_line = 0
 
@@ -63,7 +71,8 @@ def read_instance(stream: IO[str] | str) -> tuple[Graph, list[int]]:
                 raise InstanceFormatError(line_no, "negative count in problem line")
             if n > NODE_LIMIT:
                 raise InstanceFormatError(line_no, f"node count {n} exceeds {NODE_LIMIT}")
-            weights = [1] * n
+            weights.extend([1] * n)
+            yield n
         elif kind == "n":
             if n < 0:
                 raise InstanceFormatError(line_no, "weight line before problem line")
@@ -93,7 +102,7 @@ def read_instance(stream: IO[str] | str) -> tuple[Graph, list[int]]:
             edge_lines += 1
             if edge_lines > m_declared:
                 raise InstanceFormatError(line_no, f"more than {m_declared} edge lines")
-            edges.append((u - 1, v - 1))
+            yield u - 1, v - 1
         else:
             raise InstanceFormatError(line_no, f"unknown line type {kind!r}")
 
@@ -103,7 +112,6 @@ def read_instance(stream: IO[str] | str) -> tuple[Graph, list[int]]:
         raise InstanceFormatError(
             last_line + 1, f"expected {m_declared} edge lines, found {edge_lines}"
         )
-    return build_graph(n, edges), weights
 
 
 def write_instance(

@@ -1,7 +1,11 @@
+import itertools
+import sys
+import tracemalloc
+
 import pytest
 
-from clawmwss import InstanceFormatError, read_instance, write_instance
-from clawmwss.gen import SplitMix64
+from clawmwss import InstanceFormatError, generate, read_instance, write_instance
+from clawmwss.gen import GenSpec, SplitMix64
 from clawmwss.graph import NODE_LIMIT, WEIGHT_LIMIT
 
 from helpers import edge_set, random_clawfree, random_graph
@@ -30,6 +34,13 @@ def test_read_negative_weights():
     assert w == [-7]
 
 
+# Line 1 is the problem line; lines 2..1001 stream 1,000 valid edges.
+_EDGES_1000 = "p edge 49 1000\n" + "".join(
+    f"e {u} {v}\n"
+    for u, v in itertools.islice(itertools.combinations(range(1, 50), 2), 1000)
+)
+
+
 @pytest.mark.parametrize(
     "text,line,needle",
     [
@@ -51,6 +62,10 @@ def test_read_negative_weights():
         ("p edge \u0663 0\n", 1, "non-ASCII"),
         ("", 1, "missing problem line"),
         ("c only comments\n", 2, "missing problem line"),
+        pytest.param(_EDGES_1000 + "e 1 50\n", 1002, "out of range", id="edges-range"),
+        pytest.param(_EDGES_1000 + "e 7 7\n", 1002, "self-loop", id="edges-loop"),
+        pytest.param(_EDGES_1000 + "e 48 49\n", 1002, "more than 1000 edge", id="edges-count"),
+        pytest.param(_EDGES_1000 + "p edge 49 1\n", 1002, "duplicate problem", id="edges-dup-p"),
     ],
 )
 def test_read_errors_carry_line_numbers(text, line, needle):
@@ -91,3 +106,41 @@ def test_write_then_read_identity_on_random_instances():
 def test_duplicate_edge_lines_collapse_but_count_against_header():
     g, _ = read_instance("p edge 3 3\ne 1 2\ne 2 1\ne 2 3\n")
     assert g.m == 2
+
+
+def test_weight_line_after_the_edges_still_applies():
+    _, w = read_instance("p edge 3 1\ne 1 2\nn 3 7\n")
+    assert w == [1, 1, 7]
+
+
+def test_string_and_open_file_parse_alike(tmp_path):
+    g, w, _ = generate(GenSpec("line_graph_cover3", 300, -9, 9, seed=5))
+    text = write_instance(g, w, comments=["same bytes twice"])
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    g1, w1 = read_instance(text)
+    with open(path) as fh:
+        g2, w2 = read_instance(fh)
+    assert (g1.n, g1.m, list(g1.edges()), w1) == (g2.n, g2.m, list(g2.edges()), w2)
+    assert w1 == w
+
+
+def test_parse_holds_no_edge_list_and_a_right_sized_store(tmp_path):
+    g, w, _ = generate(GenSpec("line_graph_cover3", 1 << 14, seed=3))
+    path = tmp_path / "mid.txt"
+    path.write_text(write_instance(g, w))
+    del g, w
+    tracemalloc.start()
+    try:
+        with open(path) as fh:
+            g, _ = read_instance(fh)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m > 10_000
+    # A list of parsed (u, v) tuples alone costs about 120 bytes per edge.
+    assert (peak - retained) / g.m < 40
+    for v in range(g.n):
+        nbrs = g.neighbor_set(v)
+        assert sys.getsizeof(nbrs) == sys.getsizeof(frozenset(set(nbrs)))
+    assert len({id(u) for v in range(g.n) for u in g.neighbor_set(v)}) <= g.n
