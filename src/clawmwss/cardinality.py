@@ -9,21 +9,26 @@ strips only the uncounted result asserts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 from .errors import ClawWitnessError
 from .graph import Graph, OrderedCliquePrefix, is_clique_or_witness, is_null_to
 from .oracles import is_stable_set
-from .structure import classify
+from .structure import Classification, classify
 
 
 @dataclass(frozen=True)
 class StableSetReport:
-    """A stable set whose size equals min(alpha(G), 4)."""
+    """A stable set whose size equals min(alpha(G), 4).
+
+    When alpha(G) = 3, ``classification`` is the ``classify`` partition of
+    ``nodes`` that ``extend_to_four`` searched; otherwise it is None.  It
+    takes no part in equality.
+    """
 
     nodes: tuple[int, ...]
+    classification: Classification | None = field(default=None, compare=False, repr=False)
 
     @property
     def alpha_at_least_4(self) -> bool:
@@ -63,19 +68,19 @@ def three_sets_stable(
     pair in scan order wins.  The counts are the popcounts of the probes'
     clique masks, and a gap in the counts forces one in the masks, so
     ``first_free`` always returns the completing node: the one with the
-    smallest position in Z.  Returns None when no triple exists.
+    smallest position in Z.  Only the probes of a non-adjacent pair get a
+    mask, so the search asks at most |X| * |Y| pair queries plus p per
+    probe it reaches.  Returns None when no triple exists.
     """
     if not xs or not ys or not zs:
         return None
-    clique = OrderedCliquePrefix.build(g, zs, chain(xs, ys))
-    hits = {u: mask.bit_count() for u, mask in clique.masks.items()}
+    clique = OrderedCliquePrefix.build(g, zs)
     p = len(zs)
     for x in xs:
-        hx = hits[x]
         for y in ys:
             if g.adjacent(x, y):
                 continue
-            if hx + hits[y] < p:
+            if clique.mask(x).bit_count() + clique.mask(y).bit_count() < p:
                 return (x, y, clique.first_free(x, y))
     return None
 
@@ -90,13 +95,17 @@ def four_sets_stable(
     call.  For each candidate w the sets X, Y shrink to w's non-neighbors,
     and minimizing clique coverage within the restricted sets decides
     extendability; as in ``three_sets_stable`` the coverage counts are mask
-    popcounts and ``first_free`` names the gap node.
+    popcounts and ``first_free`` names the gap node.  Masks are built only
+    for the members of some w's restricted sets.
     """
     if not xs or not ys or not zs or not ws:
         return None
-    clique = OrderedCliquePrefix.build(g, zs, chain(xs, ys))
-    hits = {u: mask.bit_count() for u, mask in clique.masks.items()}
+    clique = OrderedCliquePrefix.build(g, zs)
     p = len(zs)
+
+    def covered(u: int) -> int:
+        return clique.mask(u).bit_count()
+
     for w in ws:
         x_free = [x for x in xs if not g.adjacent(x, w)]
         if not x_free:
@@ -104,9 +113,9 @@ def four_sets_stable(
         y_free = [y for y in ys if not g.adjacent(y, w)]
         if not y_free:
             continue
-        xbar = min(x_free, key=hits.__getitem__)
-        ybar = min(y_free, key=hits.__getitem__)
-        if hits[xbar] + hits[ybar] < p:
+        xbar = min(x_free, key=covered)
+        ybar = min(y_free, key=covered)
+        if covered(xbar) + covered(ybar) < p:
             return (xbar, ybar, clique.first_free(xbar, ybar), w)
     return None
 
@@ -137,8 +146,9 @@ def extend_to_three(g: Graph, pair: tuple[int, int]) -> tuple[int, int, int] | N
     return None
 
 
-def extend_to_four(g: Graph, anchors: Iterable[int]) -> tuple[int, int, int, int] | None:
-    """Grow a stable triple to a stable 4-set, or None when alpha(G) = 3.
+def extend_to_four(g: Graph, cls: Classification) -> tuple[int, int, int, int] | None:
+    """Grow the stable triple ``cls.anchors``, classified by ``cls``, to a
+    stable 4-set, or None when alpha(G) = 3.
 
     After the detached-node and exclusive-set clique checks, a 4-set (if any)
     alternates with the anchors along a path that contains either two anchors
@@ -147,7 +157,6 @@ def extend_to_four(g: Graph, anchors: Iterable[int]) -> tuple[int, int, int, int
     claw-freeness guarantees; both are checked, and a crossing edge raises
     ClawWitnessError.
     """
-    cls = classify(g, anchors)
     s, t, u = cls.anchors
     if cls.detached:
         return tuple(sorted((s, t, u, cls.detached[0])))
@@ -200,7 +209,8 @@ def stable_set_min_alpha4(g: Graph) -> StableSetReport:
     if triple is None:
         report = StableSetReport(tuple(sorted(pair)))
     else:
-        quad = extend_to_four(g, triple)
-        report = StableSetReport(triple if quad is None else quad)
+        cls = classify(g, triple)
+        quad = extend_to_four(g, cls)
+        report = StableSetReport(triple, cls) if quad is None else StableSetReport(quad)
     assert is_stable_set(g, report.nodes), "internal error: result not stable"
     return report

@@ -141,39 +141,39 @@ class OrderedCliquePrefix:
     """A clique in a fixed order plus one adjacency bitmask per probe.
 
     ``order`` keeps the clique in the order it was given as z_0..z_{p-1}.
-    Bit i of ``masks[u]`` is set iff probe u is adjacent to z_i, so
-    ``masks[u].bit_count()`` is the number of clique nodes u covers.
-    Building costs |probes| * p adjacency queries, as many as a table of
-    prefix neighbor counts; every later question is answered from the masks
-    without a query.  Per probe pair, ``first_free`` costs O(p/30) big-int
-    digit operations, where the paper's binary search over prefix counts
-    costs O(log p) steps.
+    Bit i of ``mask(u)`` is set iff probe u is adjacent to z_i, so
+    ``mask(u).bit_count()`` is the number of clique nodes u covers.
+    ``build`` asks nothing: a probe's mask is built the first time a search
+    needs it, at p adjacency queries, and kept, so a search pays only for
+    the probes it reaches.  Per probe pair, ``first_free`` costs O(p/30)
+    big-int digit operations, where the paper's binary search over prefix
+    counts costs O(log p) steps.
     """
 
-    __slots__ = ("order", "masks")
+    __slots__ = ("g", "order", "masks")
 
-    def __init__(self, order: tuple[int, ...], masks: dict[int, int]):
+    def __init__(self, g: Graph, order: tuple[int, ...]):
+        self.g = g
         self.order = order
-        self.masks = masks
+        self.masks: dict[int, int] = {}
 
     @classmethod
-    def build(
-        cls, g: Graph, clique: Sequence[int], probes: Iterable[int]
-    ) -> "OrderedCliquePrefix":
-        order = tuple(clique)
-        masks: dict[int, int] = {}
-        for u in probes:
-            mask = 0
-            for i, z in enumerate(order):
-                if g.adjacent(u, z):
-                    mask |= 1 << i
-            masks[u] = mask
-        return cls(order, masks)
+    def build(cls, g: Graph, clique: Sequence[int]) -> "OrderedCliquePrefix":
+        return cls(g, tuple(clique))
+
+    def mask(self, u: int) -> int:
+        """Probe u's adjacency bitmask over ``order``: p queries on first
+        use, none after."""
+        mask = self.masks.get(u)
+        if mask is None:
+            mask = sum(1 << i for i, z in enumerate(self.order) if self.g.adjacent(u, z))
+            self.masks[u] = mask
+        return mask
 
     def first_free(self, a: int, b: int) -> int | None:
         """The first clique node in ``order`` adjacent to neither probe (the
-        lowest zero bit of ``masks[a] | masks[b]``), or None."""
-        covered = self.masks[a] | self.masks[b]
+        lowest zero bit of ``mask(a) | mask(b)``), or None."""
+        covered = self.mask(a) | self.mask(b)
         i = (~covered & (covered + 1)).bit_length() - 1
         return self.order[i] if i < len(self.order) else None
 

@@ -7,11 +7,13 @@ compatible with a probe pair is the lowest zero bit of the OR of their
 masks.  The paper finds it by binary search over prefix neighbor counts,
 which claw-freeness makes monotone: O(log p) steps per pair for a p-node
 clique.  The lowest zero bit costs O(p/30) big-int digit operations per pair
-instead.  Building the masks makes the same |probes| * p queries as the
-prefix counts, and the answer stays exact when a claw breaks the monotone
+instead.  A probe's mask is built the first time a pair needs it, at the p
+queries of its prefix counts, so probes the search never reaches cost
+nothing, and the answer stays exact when a claw breaks the monotone
 predicate.  The top-level solver enumerates the handful of shapes a size-3
 stable set can take relative to a maximum stable triple and returns the
-best candidate overall.
+best candidate overall; the anchor partition comes from the cardinality
+phase, so no anchor adjacency is asked twice.
 
 The pair searches are output-sensitive: they walk nodes heaviest first, a
 node's best partner is its first non-neighbour, and a search stops once no
@@ -24,7 +26,7 @@ All ties break lexicographically on node tuples so outputs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, permutations
+from itertools import permutations
 from typing import Iterable, Sequence
 
 from .cardinality import stable_set_min_alpha4
@@ -39,7 +41,7 @@ from .graph import (
     total_weight,
 )
 from .oracles import is_stable_set
-from .structure import Classification, classify
+from .structure import Classification
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,8 @@ def weighted_three_sets(
     heaviest compatible clique node is ``first_free`` of the pair.  X and Y
     are walked in the same order, and both loops stop once x, y and the
     heaviest clique node weigh strictly less than the best triple, so at
-    most |X| * |Y| pairs are asked.  Returns the best triple with its
+    most |X| * |Y| pairs are asked, plus p queries for the mask of each
+    probe of a non-adjacent pair.  Returns the best triple with its
     weight, or None when no stable triple exists.
     The caller proves that X, Y, Z are disjoint parts of one ``classify``
     partition and that Z is a clique (in ``extend_to_four`` or
@@ -148,7 +151,7 @@ def weighted_three_sets(
     if not xs or not ys or not zs:
         return None
     order = _by_weight(weights, zs)
-    clique = OrderedCliquePrefix.build(g, order, chain(xs, ys))
+    clique = OrderedCliquePrefix.build(g, order)
     top_z = weights[order[0]]
     ys = _by_weight(weights, ys)
     best = _Best()
@@ -182,21 +185,25 @@ def mwss_small(g: Graph, weights: Sequence[int], pool: Iterable[int]) -> Found |
     return best.result()
 
 
-def mwss_intersecting(
-    g: Graph, weights: Sequence[int], anchors: Iterable[int]
-) -> Found | None:
-    """Best stable set meeting the stable triple T.
+def mwss_intersecting(g: Graph, weights: Sequence[int], cls: Classification) -> Found | None:
+    """Best stable set meeting the stable triple T of ``cls``.
 
     For each anchor v the remaining members must be non-neighbors of v, so
     v plus the best small stable set among them covers every stable set
     containing v (other anchors stay in the pool: sets with two or three
-    anchors surface in several iterations, which is harmless).  T is not
-    rechecked: ``stable_set_min_alpha4`` builds it stable and asserts so.
+    anchors surface in several iterations, which is harmless).  The pool is
+    read from the classification, which already asked every anchor
+    adjacency: the other two anchors, their exclusive sets, their shared set
+    and the detached nodes.  T is not rechecked: ``stable_set_min_alpha4``
+    builds it stable and asserts so.
     """
-    t = tuple(sorted(anchors))
     best = _Best()
-    for v in t:
-        pool = [x for x in range(g.n) if x != v and not g.adjacent(v, x)]
+    for v in cls.anchors:
+        b, c = (a for a in cls.anchors if a != v)
+        pool = sorted(
+            (b, c, *cls.exclusive_to(b), *cls.exclusive_to(c), *cls.shared_by(b, c))
+            + cls.detached
+        )
         best.offer((v,), weights[v])
         sub = mwss_small(g, weights, pool)
         if sub is not None:
@@ -332,11 +339,10 @@ def mwss_alpha3(g: Graph, weights: Sequence[int]) -> SolveOutcome:
         if report.exact_alpha is not None and report.exact_alpha >= 1:
             best.add(mwss_small(sub, sub_weights, range(sub.n)))
         if report.exact_alpha == 3:
-            anchors = report.nodes
-            cls = classify(sub, anchors)
+            cls = report.classification
             assert not cls.detached, "alpha = 3 leaves no detached nodes"
             for found in (
-                mwss_intersecting(sub, sub_weights, anchors),
+                mwss_intersecting(sub, sub_weights, cls),
                 mwss_type_path6(sub, sub_weights, cls),
                 mwss_type_cycle6(sub, sub_weights, cls),
                 mwss_type_iii(sub, sub_weights, cls),

@@ -116,6 +116,17 @@ def test_coverage_criterion_iff_completion_exists():
             checked += 1
 
 
+def test_three_sets_asks_only_the_pairs_when_x_is_complete_to_y():
+    # X = {0, 1} complete to Y = {2, 3, 4}, Z = {5, 6} a clique: no pair is
+    # non-adjacent, so no probe's clique mask is built and the search asks
+    # exactly |X| * |Y| queries.
+    xs, ys, zs = [0, 1], [2, 3, 4], [5, 6]
+    g = build_graph(7, [(x, y) for x in xs for y in ys] + [(5, 6)])
+    view = g.with_counter()
+    assert three_sets_stable(view, xs, ys, zs) is None
+    assert view.counter.count == len(xs) * len(ys)
+
+
 def test_four_sets_reduces_to_triple_when_w_isolated():
     # s=0, t=1, a=2, b=3, c=4 as above plus isolated w=5.
     g = build_graph(6, [(0, 2), (1, 3), (0, 4), (1, 4)])
@@ -138,7 +149,7 @@ def test_extend_to_four_reports_w_z_crossing_as_claw():
     # and the edge w-z makes (w; 0, 1, z) a claw.
     g = build_graph(5, [(0, 3), (1, 3), (2, 4), (3, 4)])
     with pytest.raises(ClawWitnessError) as info:
-        extend_to_four(g, (0, 1, 2))
+        extend_to_four(g, classify(g, (0, 1, 2)))
     assert (info.value.center, info.value.leaves) == (3, (0, 1, 4))
 
 
@@ -148,7 +159,7 @@ def test_extend_to_four_reports_x_y_crossing_as_claw():
     # makes (y; x, 0, 2) a claw.
     g = build_graph(6, [(0, 3), (1, 3), (1, 4), (0, 5), (2, 5), (4, 5)])
     with pytest.raises(ClawWitnessError) as info:
-        extend_to_four(g, (0, 1, 2))
+        extend_to_four(g, classify(g, (0, 1, 2)))
     assert (info.value.center, info.value.leaves) == (5, (0, 2, 4))
 
 
@@ -219,16 +230,19 @@ def test_extend_to_three_matches_brute_alpha():
 
 
 def test_extend_to_four_examples():
-    quad = extend_to_four(cycle(9), (0, 2, 4))
+    quad = extend_to_four(cycle(9), classify(cycle(9), (0, 2, 4)))
     assert quad is not None and is_stable_set(cycle(9), quad)
-    assert extend_to_four(cycle(7), (0, 2, 4)) is None
+    assert extend_to_four(cycle(7), classify(cycle(7), (0, 2, 4))) is None
 
 
 def test_extend_to_four_surfaces_claw():
-    # Anchors stable, node 3 adjacent to all of them.
+    # Anchors stable, node 3 adjacent to all of them.  The triple is
+    # classified once, before extend_to_four searches it, and that
+    # classification reports the claw.
     g = build_graph(4, [(0, 3), (1, 3), (2, 3)])
-    with pytest.raises(ClawWitnessError):
-        extend_to_four(g, (0, 1, 2))
+    with pytest.raises(ClawWitnessError) as info:
+        stable_set_min_alpha4(g)
+    assert (info.value.center, info.value.leaves) == (3, (0, 1, 2))
 
 
 def test_extend_to_four_matches_brute_alpha():
@@ -242,7 +256,7 @@ def test_extend_to_four_matches_brute_alpha():
         triple = extend_to_three(g, pair)
         if triple is None:
             continue
-        quad = extend_to_four(g, triple)
+        quad = extend_to_four(g, classify(g, triple))
         alpha = brute_alpha_min4(g)
         assert (quad is None) == (alpha == 3)
         if quad is not None:

@@ -10,6 +10,7 @@ from clawmwss import (
     mwss_alpha3,
     stable_set_min_alpha4,
 )
+from clawmwss import weighted
 from clawmwss.gen import SplitMix64
 from clawmwss.graph import WEIGHT_LIMIT
 from clawmwss.oracles import (
@@ -52,11 +53,11 @@ def test_clique_masks_match_neighbor_sets():
         k = rng.below(len(clique))
         order = clique[k:] + clique[:k]
         probes = [v for v in range(g.n) if v not in clique]
-        clique_masks = OrderedCliquePrefix.build(g, order, probes)
+        clique_masks = OrderedCliquePrefix.build(g, order)
         assert clique_masks.order == tuple(order)
         for u in probes:
             for i, z in enumerate(order):
-                assert bool(clique_masks.masks[u] >> i & 1) == (z in g.neighbor_set(u))
+                assert bool(clique_masks.mask(u) >> i & 1) == (z in g.neighbor_set(u))
         for a in probes:
             for b in probes:
                 free = [
@@ -65,6 +66,33 @@ def test_clique_masks_match_neighbor_sets():
                     if z not in g.neighbor_set(a) and z not in g.neighbor_set(b)
                 ]
                 assert clique_masks.first_free(a, b) == (free[0] if free else None)
+
+
+def test_probe_mask_costs_p_queries_once():
+    # Clique order (0, 1, 2); probe 3 sees only 0, probe 4 only 2.
+    g = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (2, 4)])
+    view = g.with_counter()
+    clique = OrderedCliquePrefix.build(view, [0, 1, 2])
+    assert view.counter.count == 0
+    assert clique.mask(3) == 0b001
+    assert view.counter.count == 3
+    assert clique.mask(3) == 0b001 and clique.first_free(3, 3) == 1
+    assert view.counter.count == 3
+    assert clique.first_free(3, 4) == 1 and clique.mask(4) == 0b100
+    assert view.counter.count == 6
+
+
+def test_weighted_three_sets_stops_after_first_non_adjacent_pair():
+    # Z = {6, 7, 8, 9} is a clique and there are no other edges.  The
+    # heaviest pair (0, 3) is non-adjacent and the heaviest clique node is
+    # free, and every other (x, y) with the top clique weight is strictly
+    # lighter, so the search asks that one pair plus two masks: 1 + 2p.
+    xs, ys, zs = [0, 1, 2], [3, 4, 5], [6, 7, 8, 9]
+    g = build_graph(10, list(itertools.combinations(zs, 2)))
+    weights = [9, 5, 4, 9, 5, 4, 9, 3, 2, 1]
+    view = g.with_counter()
+    assert weighted_three_sets(view, weights, xs, ys, zs) == ((0, 3, 6), 27)
+    assert view.counter.count == 1 + 2 * len(zs)
 
 
 def test_weighted_three_sets_prefers_heaviest_reachable():
@@ -276,16 +304,53 @@ def test_mwss_small_stops_at_first_non_neighbour():
 
 def test_mwss_intersecting_c7():
     c7 = cycle(7)
-    nodes, weight = mwss_intersecting(c7, [1] * 7, (0, 2, 4))
+    cls = classify(c7, (0, 2, 4))
+    nodes, weight = mwss_intersecting(c7, [1] * 7, cls)
     assert weight == 3 and is_stable_set(c7, nodes)
-    nodes, weight = mwss_intersecting(c7, [i + 1 for i in range(7)], (0, 2, 4))
+    nodes, weight = mwss_intersecting(c7, [i + 1 for i in range(7)], cls)
     assert (nodes, weight) == ((2, 4, 6), 15)
 
 
 def test_mwss_intersecting_prefers_heavy_anchor():
     c6 = cycle(6)
-    nodes, weight = mwss_intersecting(c6, [10, -5, -7, -5, -7, -5], (0, 2, 4))
+    nodes, weight = mwss_intersecting(c6, [10, -5, -7, -5, -7, -5], classify(c6, (0, 2, 4)))
     assert (nodes, weight) == ((0,), 10)
+
+
+def test_anchor_classification_is_reused_exactly(monkeypatch):
+    # The report carries the partition extend_to_four built for its triple,
+    # and mwss_intersecting reads each anchor's pool from it: both must
+    # equal what fresh adjacency answers give.
+    pools = []
+    pool_search = weighted.mwss_small
+
+    def recording(g, weights, pool):
+        pools.append(list(pool))
+        return pool_search(g, weights, pool)
+
+    monkeypatch.setattr(weighted, "mwss_small", recording)
+    rng = SplitMix64(0xC1A5)
+    alphas = set()
+    checked = 0
+    while checked < 300:
+        g, weights, _ = random_clawfree(rng, 40)
+        report = stable_set_min_alpha4(g)
+        alphas.add(len(report.nodes))
+        if report.exact_alpha != 3:
+            assert report.classification is None
+            continue
+        checked += 1
+        cls = report.classification
+        assert cls == classify(g, report.nodes)
+        pools.clear()
+        mwss_intersecting(g, weights, cls)
+        assert pools == [
+            [x for x in range(g.n) if x != v and x not in g.neighbor_set(v)]
+            for v in report.nodes
+        ]
+    assert alphas == {1, 2, 3, 4}
+    for g in (complete(4), cycle(5), cycle(9)):
+        assert stable_set_min_alpha4(g).classification is None
 
 
 def test_path6_on_c7():
