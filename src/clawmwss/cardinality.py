@@ -40,16 +40,16 @@ class StableSetReport:
         return len(self.nodes) if len(self.nodes) < 4 else None
 
 
-def stable_pair(g: Graph) -> tuple[int, int] | None:
-    """A non-adjacent node pair, or None when the graph is complete.
+def stable_pair(g: Graph, nodes: Sequence[int]) -> tuple[int, int] | None:
+    """A non-adjacent pair of ``nodes``, or None when they form a clique.
 
-    Picks the first node whose degree is below n-1 and its first
-    non-neighbor; that non-neighbor always has the larger id.
+    Picks the first node with a non-neighbor among ``nodes`` (read from its
+    neighbor set, uncounted) and its first non-neighbor there; for
+    ascending ``nodes`` that non-neighbor always has the larger id.
     """
-    n = g.n
-    for v in range(n):
-        if g.degree(v) < n - 1:
-            for u in range(n):
+    for v in nodes:
+        if len(g.neighbor_set(v).intersection(nodes)) < len(nodes) - 1:
+            for u in nodes:
                 if u != v and not g.adjacent(v, u):
                     return (v, u)
     return None
@@ -120,15 +120,18 @@ def four_sets_stable(
     return None
 
 
-def extend_to_three(g: Graph, pair: tuple[int, int]) -> tuple[int, int, int] | None:
-    """Grow a stable pair to a stable triple, or None when alpha(G) = 2.
+def extend_to_three(
+    g: Graph, nodes: Sequence[int], pair: tuple[int, int]
+) -> tuple[int, int, int] | None:
+    """Grow a stable pair to a stable triple of the subgraph induced by
+    ``nodes``, or None when its alpha is 2.
 
     Check order is fixed for determinism: a detached node joins the pair
     directly; a non-adjacent pair inside either exclusive set replaces its
     anchor; otherwise a triple must take one node from each classification
     set and the three-set search decides.
     """
-    cls = classify(g, pair)
+    cls = classify(g, nodes, pair)
     s, t = cls.anchors
     if cls.detached:
         return tuple(sorted((s, t, cls.detached[0])))
@@ -194,22 +197,26 @@ def extend_to_four(g: Graph, cls: Classification) -> tuple[int, int, int, int] |
     return None
 
 
-def stable_set_min_alpha4(g: Graph) -> StableSetReport:
-    """Stable set of size min(alpha(G), 4) for a claw-free graph.
+def stable_set_min_alpha4(g: Graph, nodes: Sequence[int] | None = None) -> StableSetReport:
+    """Stable set of size min(alpha, 4) of the claw-free subgraph of g
+    induced by ``nodes``, given in ascending ids (None: all of g).
 
+    The search asks only adjacencies among ``nodes`` and builds no graph.
     Claw-freeness is assumed and only incidentally detected (as
     ClawWitnessError); ``structure.find_claw`` checks it up front.
     """
-    if g.n == 0:
+    if nodes is None:
+        nodes = range(g.n)
+    if not nodes:
         return StableSetReport(())
-    pair = stable_pair(g)
+    pair = stable_pair(g, nodes)
     if pair is None:
-        return StableSetReport((0,))
-    triple = extend_to_three(g, pair)
+        return StableSetReport((nodes[0],))
+    triple = extend_to_three(g, nodes, pair)
     if triple is None:
         report = StableSetReport(tuple(sorted(pair)))
     else:
-        cls = classify(g, triple)
+        cls = classify(g, nodes, triple)
         quad = extend_to_four(g, cls)
         report = StableSetReport(triple, cls) if quad is None else StableSetReport(quad)
     assert is_stable_set(g, report.nodes), "internal error: result not stable"

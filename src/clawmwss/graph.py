@@ -51,17 +51,11 @@ class Graph:
 
     __slots__ = ("n", "m", "_memb", "counter")
 
-    def __init__(
-        self,
-        n: int,
-        memb: list[frozenset[int]],
-        m: int,
-        counter: QueryCounter | None = None,
-    ):
+    def __init__(self, n: int, memb: list[frozenset[int]], m: int):
         self.n = n
         self.m = m
         self._memb = memb
-        self.counter = counter if counter is not None else QueryCounter()
+        self.counter = QueryCounter()
 
     def adjacent(self, u: int, v: int) -> bool:
         """Counted adjacency oracle: true iff {u, v} is an edge."""
@@ -87,9 +81,10 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def with_counter(self, counter: QueryCounter | None = None) -> "Graph":
-        """Shallow view sharing structure but owning a fresh query counter."""
-        return Graph(self.n, self._memb, self.m, counter or QueryCounter())
+    def with_counter(self) -> "Graph":
+        """Shallow view sharing structure but owning a fresh query counter
+        at 0."""
+        return Graph(self.n, self._memb, self.m)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

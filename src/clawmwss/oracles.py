@@ -155,10 +155,3 @@ def _brute_mwss_enumerate(g: Graph, weights: Sequence[int]) -> tuple[tuple[int, 
     extend((), 0, full)
     return best[1], best[0]
 
-
-def brute_mwss_full(g: Graph, weights: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Unrestricted enumeration regardless of alpha; for cross-checks on
-    small graphs only."""
-    if g.n > 24:
-        raise ValueError("brute_mwss_full limited to n <= 24")
-    return _brute_mwss_enumerate(g, weights)

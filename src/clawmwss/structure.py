@@ -50,10 +50,12 @@ class Classification:
         return self.shared[(u, v) if u < v else (v, u)]
 
 
-def classify(g: Graph, anchors: Iterable[int]) -> Classification:
-    """Classify V minus T by adjacency to each anchor of the stable set T.
+def classify(g: Graph, nodes: Iterable[int], anchors: Iterable[int]) -> Classification:
+    """Classify ``nodes`` minus T by adjacency to each anchor of the stable
+    set T, which lies inside ``nodes``.
 
-    One pass over the nodes, at most |T| adjacency queries each.  T must be
+    One pass over ``nodes`` in the given order, so each part keeps that
+    order, at most |T| adjacency queries per node.  T must be
     stable and is not rechecked: the cardinality phase builds every anchor
     set stable (``stable_set_min_alpha4`` asserts its result).  For |T| = 3
     raises ClawWitnessError if some node is adjacent to all three anchors
@@ -71,7 +73,7 @@ def classify(g: Graph, anchors: Iterable[int]) -> Classification:
         pair: [] for pair in combinations(t, 2)
     }
     detached: list[int] = []
-    for x in range(g.n):
+    for x in nodes:
         if x in t_members:
             continue
         hits = tuple(a for a in t if g.adjacent(x, a))

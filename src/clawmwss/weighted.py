@@ -35,7 +35,6 @@ from .graph import (
     Graph,
     OrderedCliquePrefix,
     check_weights,
-    induced_subgraph,
     is_clique_or_witness,
     is_null_to,
     total_weight,
@@ -306,53 +305,38 @@ def mwss_type_iii(g: Graph, weights: Sequence[int], cls: Classification) -> Foun
 def mwss_alpha3(g: Graph, weights: Sequence[int]) -> SolveOutcome:
     """Solve the maximum-weight stable set problem when alpha(G) <= 3.
 
-    Negative-weight nodes are dropped up front (they never help), the
-    cardinality phase either certifies alpha >= 4 with a witness or pins
-    alpha, and the weighted phase takes the best candidate over: stable sets
-    meeting a maximum stable triple, the three disjoint-triple shapes, all
-    small stable sets, and the empty set.  Weights are reported against the
-    original graph; node ids in the outcome, and in a ClawWitnessError, are
-    original ids.
+    Negative-weight nodes never help, so both phases search the subgraph
+    induced by the non-negative nodes in place: the cardinality phase
+    either certifies alpha >= 4 there with a witness or pins alpha, and the
+    weighted phase takes the best candidate over: stable sets meeting a
+    maximum stable triple, the three disjoint-triple shapes, all small
+    stable sets, and the empty set.  No graph is built and every node id,
+    in the outcome and in a ClawWitnessError, is an id of g.
 
     Raises ValueError unless ``weights`` holds one ``int`` (not a ``bool``)
     per node, each of magnitude at most 2^61.
     """
     check_weights(g, weights)
-
     keep = [v for v in range(g.n) if weights[v] >= 0]
-    dropped = g.n - len(keep)
-    if dropped:
-        sub, _ = induced_subgraph(g, keep)
-        sub = sub.with_counter(g.counter)
-        sub_weights = [weights[v] for v in keep]
-    else:
-        # Nothing to drop: the rebuild would copy g with the same ids.
-        sub, sub_weights = g, weights
+    report = stable_set_min_alpha4(g, keep)
+    if report.alpha_at_least_4:
+        return AlphaAtLeast4(report.nodes)
 
-    try:
-        report = stable_set_min_alpha4(sub)
-        if report.alpha_at_least_4:
-            return AlphaAtLeast4(tuple(sorted(keep[x] for x in report.nodes)))
+    best = _Best()
+    best.offer((), 0)
+    if report.exact_alpha >= 1:
+        best.add(mwss_small(g, weights, keep))
+    if report.exact_alpha == 3:
+        cls = report.classification
+        assert not cls.detached, "alpha = 3 leaves no detached nodes"
+        for found in (
+            mwss_intersecting(g, weights, cls),
+            mwss_type_path6(g, weights, cls),
+            mwss_type_cycle6(g, weights, cls),
+            mwss_type_iii(g, weights, cls),
+        ):
+            best.add(found)
 
-        best = _Best()
-        best.offer((), 0)
-        if report.exact_alpha is not None and report.exact_alpha >= 1:
-            best.add(mwss_small(sub, sub_weights, range(sub.n)))
-        if report.exact_alpha == 3:
-            cls = report.classification
-            assert not cls.detached, "alpha = 3 leaves no detached nodes"
-            for found in (
-                mwss_intersecting(sub, sub_weights, cls),
-                mwss_type_path6(sub, sub_weights, cls),
-                mwss_type_cycle6(sub, sub_weights, cls),
-                mwss_type_iii(sub, sub_weights, cls),
-            ):
-                best.add(found)
-    except ClawWitnessError as exc:
-        # An induced claw of the subgraph is one of g: report it in g's ids.
-        raise ClawWitnessError(keep[exc.center], tuple(keep[x] for x in exc.leaves)) from None
-
-    nodes = tuple(sorted(keep[x] for x in best.nodes))
-    assert is_stable_set(g, nodes), "internal error: result not stable"
-    assert total_weight(weights, nodes) == best.weight, "internal error: weight mismatch"
-    return Optimal(nodes=nodes, weight=best.weight, dropped_negative=dropped)
+    assert is_stable_set(g, best.nodes), "internal error: result not stable"
+    assert total_weight(weights, best.nodes) == best.weight, "internal error: weight mismatch"
+    return Optimal(nodes=best.nodes, weight=best.weight, dropped_negative=g.n - len(keep))

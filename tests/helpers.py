@@ -37,6 +37,44 @@ def random_clawfree(rng: SplitMix64, max_n: int, negative_weights: bool = False)
     return g, weights, spec
 
 
+def brute_mwss_full(g: Graph, weights) -> tuple[tuple[int, ...], int]:
+    """Maximum-weight stable set, admitting the empty set, by enumerating
+    every stable set whatever alpha is; ties go to the lexicographically
+    smallest node tuple.  Reads only neighbor sets, so it shares no code
+    with ``clawmwss.oracles``.  Small graphs only."""
+    best = (0, ())
+
+    def extend(chosen: tuple[int, ...], weight: int, candidates: list[int]) -> None:
+        nonlocal best
+        if weight > best[0] or (weight == best[0] and chosen < best[1]):
+            best = (weight, chosen)
+        for i, v in enumerate(candidates):
+            nb = g.neighbor_set(v)
+            rest = [u for u in candidates[i + 1 :] if u not in nb]
+            extend(chosen + (v,), weight + weights[v], rest)
+
+    extend((), 0, list(range(g.n)))
+    return best[1], best[0]
+
+
+def bench_instances(sizes, seed: int) -> list[tuple[Graph, list[int]]]:
+    """The (graph, weights) pairs that ``cli.run_bench(sizes, seed)`` solves."""
+    rng = SplitMix64(seed)
+    return [
+        generate(GenSpec("line_graph_cover3", size=size, seed=rng.next_u64()))[:2]
+        for size in sizes
+    ]
+
+
+def with_lightest_negative(weights: list[int]) -> list[int]:
+    """A copy of ``weights`` whose lightest node (lowest weight, then lowest
+    id) weighs -1."""
+    lightest = min(range(len(weights)), key=lambda v: (weights[v], v))
+    out = list(weights)
+    out[lightest] = -1
+    return out
+
+
 def edge_set(g: Graph) -> set[tuple[int, int]]:
     return set(g.edges())
 

@@ -105,7 +105,7 @@ def test_criterion_3_subroutine_iff_properties():
         if report.exact_alpha != 3:
             continue
         instances += 1
-        cls = classify(g, report.nodes)
+        cls = classify(g, range(g.n), report.nodes)
         for xs, ys, zs in _probe_configs(cls):
             if not zs:
                 continue

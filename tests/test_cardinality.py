@@ -22,10 +22,10 @@ from helpers import complete, cycle, random_clawfree
 
 
 def test_stable_pair_examples():
-    assert stable_pair(complete(5)) is None
-    assert stable_pair(cycle(7)) == (0, 2)
-    assert stable_pair(build_graph(2, [])) == (0, 1)
-    assert stable_pair(build_graph(1, [])) is None
+    assert stable_pair(complete(5), range(5)) is None
+    assert stable_pair(cycle(7), range(7)) == (0, 2)
+    assert stable_pair(build_graph(2, []), range(2)) == (0, 1)
+    assert stable_pair(build_graph(1, []), range(1)) is None
 
 
 def test_three_sets_direct_construction():
@@ -74,7 +74,7 @@ def test_three_sets_agrees_with_exhaustive_scan():
         report = stable_set_min_alpha4(g)
         if report.exact_alpha != 3:
             continue
-        cls = classify(g, report.nodes)
+        cls = classify(g, range(g.n), report.nodes)
         for xs, ys, zs in _triple_configs(g, cls):
             result = three_sets_stable(g, xs, ys, zs)
             brute = _stable_triples_brute(g, xs, ys, zs)
@@ -96,7 +96,7 @@ def test_coverage_criterion_iff_completion_exists():
         report = stable_set_min_alpha4(g)
         if report.exact_alpha != 3:
             continue
-        cls = classify(g, report.nodes)
+        cls = classify(g, range(g.n), report.nodes)
         for xs, ys, zs in _triple_configs(g, cls):
             if not zs:
                 continue
@@ -149,7 +149,7 @@ def test_extend_to_four_reports_w_z_crossing_as_claw():
     # and the edge w-z makes (w; 0, 1, z) a claw.
     g = build_graph(5, [(0, 3), (1, 3), (2, 4), (3, 4)])
     with pytest.raises(ClawWitnessError) as info:
-        extend_to_four(g, classify(g, (0, 1, 2)))
+        extend_to_four(g, classify(g, range(g.n), (0, 1, 2)))
     assert (info.value.center, info.value.leaves) == (3, (0, 1, 4))
 
 
@@ -159,7 +159,7 @@ def test_extend_to_four_reports_x_y_crossing_as_claw():
     # makes (y; x, 0, 2) a claw.
     g = build_graph(6, [(0, 3), (1, 3), (1, 4), (0, 5), (2, 5), (4, 5)])
     with pytest.raises(ClawWitnessError) as info:
-        extend_to_four(g, classify(g, (0, 1, 2)))
+        extend_to_four(g, classify(g, range(g.n), (0, 1, 2)))
     assert (info.value.center, info.value.leaves) == (5, (0, 2, 4))
 
 
@@ -189,7 +189,7 @@ def test_four_sets_agrees_with_exhaustive_scan():
         report = stable_set_min_alpha4(g)
         if report.exact_alpha != 3:
             continue
-        cls = classify(g, report.nodes)
+        cls = classify(g, range(g.n), report.nodes)
         s, t, u = cls.anchors
         for b in (s, t, u):
             a, c = (x for x in (s, t, u) if x != b)
@@ -210,19 +210,19 @@ def test_four_sets_agrees_with_exhaustive_scan():
 
 
 def test_extend_to_three_examples():
-    triple = extend_to_three(cycle(7), (0, 2))
+    triple = extend_to_three(cycle(7), range(7), (0, 2))
     assert triple == (0, 2, 4)
-    assert extend_to_three(cycle(5), (0, 2)) is None
+    assert extend_to_three(cycle(5), range(5), (0, 2)) is None
 
 
 def test_extend_to_three_matches_brute_alpha():
     rng = SplitMix64(45)
     for _ in range(400):
         g, _, _ = random_clawfree(rng, 30)
-        pair = stable_pair(g)
+        pair = stable_pair(g, range(g.n))
         if pair is None:
             continue
-        triple = extend_to_three(g, pair)
+        triple = extend_to_three(g, range(g.n), pair)
         alpha = brute_alpha_min4(g)
         assert (triple is None) == (alpha == 2)
         if triple is not None:
@@ -230,9 +230,9 @@ def test_extend_to_three_matches_brute_alpha():
 
 
 def test_extend_to_four_examples():
-    quad = extend_to_four(cycle(9), classify(cycle(9), (0, 2, 4)))
+    quad = extend_to_four(cycle(9), classify(cycle(9), range(9), (0, 2, 4)))
     assert quad is not None and is_stable_set(cycle(9), quad)
-    assert extend_to_four(cycle(7), classify(cycle(7), (0, 2, 4))) is None
+    assert extend_to_four(cycle(7), classify(cycle(7), range(7), (0, 2, 4))) is None
 
 
 def test_extend_to_four_surfaces_claw():
@@ -250,13 +250,13 @@ def test_extend_to_four_matches_brute_alpha():
     checked = 0
     while checked < 400:
         g, _, _ = random_clawfree(rng, 30)
-        pair = stable_pair(g)
+        pair = stable_pair(g, range(g.n))
         if pair is None:
             continue
-        triple = extend_to_three(g, pair)
+        triple = extend_to_three(g, range(g.n), pair)
         if triple is None:
             continue
-        quad = extend_to_four(g, classify(g, triple))
+        quad = extend_to_four(g, classify(g, range(g.n), triple))
         alpha = brute_alpha_min4(g)
         assert (quad is None) == (alpha == 3)
         if quad is not None:
@@ -274,6 +274,12 @@ def test_report_examples():
     assert len(report.nodes) == 4
     assert stable_set_min_alpha4(build_graph(0, [])).nodes == ()
     assert stable_set_min_alpha4(build_graph(0, [])).exact_alpha == 0
+    # On a node subset: the subgraph it induces, in g's ids.
+    assert stable_set_min_alpha4(cycle(7), []).nodes == ()
+    assert stable_set_min_alpha4(complete(5), [2, 4]).nodes == (2,)
+    assert stable_set_min_alpha4(cycle(9), [1, 2, 3]).nodes == (1, 3)
+    assert stable_set_min_alpha4(cycle(9), range(1, 8)).nodes == (1, 3, 5, 7)
+    assert stable_set_min_alpha4(cycle(9), range(1, 7)).exact_alpha == 3
 
 
 def test_report_matches_brute_alpha_on_random_instances():
@@ -302,7 +308,7 @@ def test_report_exhaustive_small_graphs():
 
 def test_classify_takes_plain_iterables_and_rejects_duplicate_anchors():
     g = cycle(7)
-    assert classify(g, [2, 0]).shared_by(0, 2) == (1,)
-    assert classify(g, (v for v in (4, 0, 2))).exclusive_to(0) == (6,)
+    assert classify(g, range(g.n), [2, 0]).shared_by(0, 2) == (1,)
+    assert classify(g, range(g.n), (v for v in (4, 0, 2))).exclusive_to(0) == (6,)
     with pytest.raises(ValueError, match="duplicate anchor"):
-        classify(g, [0, 2, 2])
+        classify(g, range(g.n), [0, 2, 2])

@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 
 import clawmwss.cli as cli
-from clawmwss import Optimal, generate, read_instance, write_instance
+from clawmwss import Optimal, generate, mwss_alpha3, read_instance, write_instance
 from clawmwss.cli import BenchRecord, main, render_csv, run_bench, verify_instances
 from clawmwss.gen import GenSpec, SplitMix64
 from clawmwss.graph import NODE_LIMIT, build_graph
 
-from helpers import cycle, star
+from helpers import bench_instances, cycle, star, with_lightest_negative
 
 
 def _instance_file(tmp_path, name, g, weights, comments=()):
@@ -387,3 +387,16 @@ def test_run_bench_queries_are_deterministic():
     b = run_bench([128], seed=9)
     assert a[0].queries == b[0].queries
     assert a[0].instance == b[0].instance == "line_graph_cover3-128"
+
+
+def test_bench_query_counts_are_pinned():
+    # Exact counts of ``bench --seed 0`` at 2^10 and 2^12, and of the same
+    # instances with one node dropped for a negative weight.  A change that
+    # moves them edits this pin and says why.
+    assert [r.queries for r in run_bench([1024, 4096], seed=0)] == [1917, 5589]
+    negative = []
+    for g, weights in bench_instances([1024, 4096], seed=0):
+        view = g.with_counter()
+        mwss_alpha3(view, with_lightest_negative(weights))
+        negative.append(view.counter.count)
+    assert negative == [2153, 5527]

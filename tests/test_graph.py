@@ -187,6 +187,6 @@ def test_counter_equals_shadow_instrumentation(monkeypatch):
     monkeypatch.setattr(Graph, "adjacent", spy)
     g = cycle(9)
     is_clique_or_witness(g, [0, 2, 4])
-    classify(g, (0, 2, 4))
+    classify(g, range(g.n), (0, 2, 4))
     stable_set_min_alpha4(g)
     assert g.counter.count == calls["n"] > 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from clawmwss import build_graph, generate, read_instance, write_instance
@@ -14,11 +16,10 @@ from clawmwss.oracles import (
     brute_alpha_min4,
     brute_is_clawfree,
     brute_mwss,
-    brute_mwss_full,
     is_stable_set,
 )
 
-from helpers import complete, cycle, edge_set, random_graph, star
+from helpers import brute_mwss_full, complete, cycle, edge_set, random_graph, star
 
 
 def test_splitmix64_reference_sequence():
@@ -190,6 +191,71 @@ def test_verify_certificate_catches_corruption():
     other = cycle(g.n)
     with pytest.raises(ValueError):
         verify_certificate(other, cert)
+
+
+def _with_detail(cert, **detail):
+    return dataclasses.replace(cert, detail={**cert.detail, **detail})
+
+
+def _flip_part_of_node_with_non_neighbour(g, cert):
+    u = next(v for v in range(g.n) if g.degree(v) < g.n - 1)
+    part = list(cert.detail["part"])
+    part[u] ^= 1
+    return g, _with_detail(cert, part=part)
+
+
+def _replace_host_edge_3(g, cert):
+    hedges = list(cert.detail["host_edges"])
+    hedges[3] = (98, 99)  # no end is a center
+    return g, _with_detail(cert, host_edges=hedges)
+
+
+# One seeded corruption per rejection reason of verify_certificate:
+# reason -> (kind, size, change(g, cert) -> (g, cert)).
+CORRUPTIONS = {
+    "host edge count differs": (
+        "line_graph_cover3", 60,
+        lambda g, c: (g, _with_detail(c, host_edges=c.detail["host_edges"][:-1])),
+    ),
+    "host edge 3 misses the 3-node cover": ("line_graph_cover3", 60, _replace_host_edge_3),
+    "adjacency of nodes 0,1 contradicts host edges": (
+        "line_graph_cover3", 60, lambda g, c: (cycle(g.n), c),
+    ),
+    "claimed disjoint host edges share an endpoint": (
+        "line_graph_cover3", 60, lambda g, c: (g, _with_detail(c, disjoint=[0, 3])),
+    ),
+    "part vector length differs": (
+        "complement_triangle_free", 12,
+        lambda g, c: (g, _with_detail(c, part=c.detail["part"][:-1])),
+    ),
+    "stays inside part": ("complement_triangle_free", 12, _flip_part_of_node_with_non_neighbour),
+    "cycle certificate size mismatch": (
+        "cycle", 7, lambda g, c: (g, _with_detail(c, length=8)),
+    ),
+    "node 0 is not a cycle node": (
+        "cycle", 6,
+        lambda g, c: (build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), c),
+    ),
+    "unknown certificate kind 'path'": (
+        "cycle", 7, lambda g, c: (g, dataclasses.replace(c, kind="path")),
+    ),
+    "alpha is 3, certificate claims 2": (
+        "cycle", 7, lambda g, c: (g, dataclasses.replace(c, alpha_bound=2)),
+    ),
+    "alpha is 2, certificate bound is 1": (
+        "complement_triangle_free", 12, lambda g, c: (g, dataclasses.replace(c, alpha_bound=1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("reason", CORRUPTIONS)
+def test_verify_certificate_rejects_each_corruption(reason):
+    kind, size, change = CORRUPTIONS[reason]
+    g, _, cert = generate(GenSpec(kind, size=size, seed=3))
+    verify_certificate(g, cert)  # the uncorrupted pair passes
+    g, cert = change(g, cert)
+    with pytest.raises(ValueError, match=reason):
+        verify_certificate(g, cert)
 
 
 def test_cycle_certificates_are_exact():

@@ -76,7 +76,7 @@ def test_find_claw_asks_each_neighbor_pair_once():
 
 
 def test_classify_c7_triple():
-    cls = classify(cycle(7), (0, 2, 4))
+    cls = classify(cycle(7), range(7), (0, 2, 4))
     assert cls.anchors == (0, 2, 4)
     assert list(cls.exclusive_to(0)) == [6]
     assert list(cls.exclusive_to(2)) == []
@@ -88,7 +88,7 @@ def test_classify_c7_triple():
 
 
 def test_classify_pair():
-    cls = classify(cycle(7), (0, 2))
+    cls = classify(cycle(7), range(7), (0, 2))
     assert list(cls.exclusive_to(0)) == [6]
     assert list(cls.exclusive_to(2)) == [3]
     assert list(cls.shared_by(0, 2)) == [1]
@@ -99,14 +99,14 @@ def test_classify_reports_claw_for_universal_node():
     # Node 3 is adjacent to all three stable anchors: a claw centered there.
     g = build_graph(4, [(0, 3), (1, 3), (2, 3)])
     with pytest.raises(ClawWitnessError) as excinfo:
-        classify(g, (0, 1, 2))
+        classify(g, range(g.n), (0, 1, 2))
     assert excinfo.value.center == 3
     assert excinfo.value.leaves == (0, 1, 2)
 
 
 def test_classify_requires_size_2_or_3():
     with pytest.raises(ValueError):
-        classify(cycle(7), (0,))
+        classify(cycle(7), range(7), (0,))
 
 
 def test_classification_partitions_remaining_nodes():
@@ -117,7 +117,7 @@ def test_classification_partitions_remaining_nodes():
         pair_or_triple = _some_stable_anchors(g, rng)
         if pair_or_triple is None:
             continue
-        cls = classify(g, pair_or_triple)
+        cls = classify(g, range(g.n), pair_or_triple)
         seen = {}
         for name, nodes in _named_sets(cls):
             for v in nodes:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -7,12 +8,13 @@ from clawmwss import (
     ClawWitnessError,
     Optimal,
     build_graph,
+    generate,
     mwss_alpha3,
     stable_set_min_alpha4,
 )
 from clawmwss import weighted
-from clawmwss.gen import SplitMix64
-from clawmwss.graph import WEIGHT_LIMIT
+from clawmwss.gen import SplitMix64, sample_spec
+from clawmwss.graph import WEIGHT_LIMIT, induced_subgraph
 from clawmwss.oracles import (
     brute_alpha_min4,
     brute_is_clawfree,
@@ -32,7 +34,15 @@ from clawmwss.weighted import (
     weighted_three_sets,
 )
 
-from helpers import complete, cycle, prefix_rows, random_clawfree, random_graph
+from helpers import (
+    bench_instances,
+    complete,
+    cycle,
+    prefix_rows,
+    random_clawfree,
+    random_graph,
+    with_lightest_negative,
+)
 
 
 def _greedy_clique(g, start):
@@ -143,7 +153,7 @@ def _alpha3_instances(rng, count, max_n=25, negative=False):
         report = stable_set_min_alpha4(g)
         if report.exact_alpha != 3:
             continue
-        yield g, weights, classify(g, report.nodes)
+        yield g, weights, classify(g, range(g.n), report.nodes)
         produced += 1
 
 
@@ -304,7 +314,7 @@ def test_mwss_small_stops_at_first_non_neighbour():
 
 def test_mwss_intersecting_c7():
     c7 = cycle(7)
-    cls = classify(c7, (0, 2, 4))
+    cls = classify(c7, range(c7.n), (0, 2, 4))
     nodes, weight = mwss_intersecting(c7, [1] * 7, cls)
     assert weight == 3 and is_stable_set(c7, nodes)
     nodes, weight = mwss_intersecting(c7, [i + 1 for i in range(7)], cls)
@@ -313,7 +323,8 @@ def test_mwss_intersecting_c7():
 
 def test_mwss_intersecting_prefers_heavy_anchor():
     c6 = cycle(6)
-    nodes, weight = mwss_intersecting(c6, [10, -5, -7, -5, -7, -5], classify(c6, (0, 2, 4)))
+    cls = classify(c6, range(c6.n), (0, 2, 4))
+    nodes, weight = mwss_intersecting(c6, [10, -5, -7, -5, -7, -5], cls)
     assert (nodes, weight) == ((0,), 10)
 
 
@@ -341,7 +352,7 @@ def test_anchor_classification_is_reused_exactly(monkeypatch):
             continue
         checked += 1
         cls = report.classification
-        assert cls == classify(g, report.nodes)
+        assert cls == classify(g, range(g.n), report.nodes)
         pools.clear()
         mwss_intersecting(g, weights, cls)
         assert pools == [
@@ -355,27 +366,27 @@ def test_anchor_classification_is_reused_exactly(monkeypatch):
 
 def test_path6_on_c7():
     c7 = cycle(7)
-    cls = classify(c7, (0, 2, 4))
+    cls = classify(c7, range(c7.n), (0, 2, 4))
     nodes, weight = mwss_type_path6(c7, [1] * 7, cls)
     assert (nodes, weight) == ((1, 3, 5), 3)
 
 
 def test_path6_none_when_shared_sets_empty():
     g = build_graph(6, [(0, 1), (2, 3), (4, 5)])
-    cls = classify(g, (0, 2, 4))
+    cls = classify(g, range(g.n), (0, 2, 4))
     assert mwss_type_path6(g, [1] * 6, cls) is None
 
 
 def test_cycle6_direct():
     c6 = cycle(6)
-    cls = classify(c6, (0, 2, 4))
+    cls = classify(c6, range(c6.n), (0, 2, 4))
     nodes, weight = mwss_type_cycle6(c6, [1] * 6, cls)
     assert (nodes, weight) == ((1, 3, 5), 3)
 
 
 def test_cycle6_none_without_each_shared_set():
     c7 = cycle(7)
-    cls = classify(c7, (0, 2, 4))  # the (0,4)-shared set is empty
+    cls = classify(c7, range(c7.n), (0, 2, 4))  # the (0,4)-shared set is empty
     assert mwss_type_cycle6(c7, [1] * 7, cls) is None
 
 
@@ -396,7 +407,7 @@ def test_cycle6_split_when_middle_set_not_clique():
     )
     assert brute_is_clawfree(g) is None
     assert brute_alpha_min4(g) == 3
-    cls = classify(g, (0, 1, 2))
+    cls = classify(g, range(g.n), (0, 1, 2))
     weights = [1] * 8
     nodes, weight = mwss_type_cycle6(g, weights, cls)
     assert (nodes, weight) == ((3, 5, 6), 3)
@@ -408,7 +419,7 @@ def test_cycle6_split_when_middle_set_not_clique():
 
 def test_type_iii_c7_and_four_cycle_shape():
     c7 = cycle(7)
-    cls = classify(c7, (0, 2, 4))
+    cls = classify(c7, range(c7.n), (0, 2, 4))
     found = mwss_type_iii(c7, [1] * 7, cls)
     assert found is None  # every role assignment hits an empty set on C7
 
@@ -416,7 +427,7 @@ def test_type_iii_c7_and_four_cycle_shape():
     # non-adjacent pair {4, 5}.
     g = build_graph(6, [(0, 3), (1, 4), (2, 4), (1, 5), (2, 5)])
     assert brute_is_clawfree(g) is None
-    cls = classify(g, (0, 1, 2))
+    cls = classify(g, range(g.n), (0, 1, 2))
     weights = [1, 1, 1, 2, 3, 4]
     nodes, weight = mwss_type_iii(g, weights, cls)
     assert (nodes, weight) == ((3, 4, 5), 9)
@@ -425,7 +436,7 @@ def test_type_iii_c7_and_four_cycle_shape():
 def test_type_iii_four_cycle_contributes_nothing_for_clique_pair_set():
     g = build_graph(6, [(0, 3), (1, 4), (2, 4), (1, 5), (2, 5), (4, 5)])
     assert brute_is_clawfree(g) is None
-    cls = classify(g, (0, 1, 2))
+    cls = classify(g, range(g.n), (0, 1, 2))
     assert mwss_type_iii(g, [1] * 6, cls) is None
 
 
@@ -520,8 +531,7 @@ def test_mwss_alpha3_enforces_weight_contract():
 
 
 def test_mwss_alpha3_reports_claw_in_input_ids():
-    # Node 0 is dropped for its negative weight, so the solver works on a
-    # subgraph whose ids are one lower; the only claw is (4; 1, 2, 5).
+    # Node 0 is dropped for its negative weight; the only claw is (4; 1, 2, 5).
     g = build_graph(6, [(1, 4), (2, 4), (3, 5), (4, 5)])
     with pytest.raises(ClawWitnessError) as info:
         mwss_alpha3(g, [-1, 1, 1, 1, 1, 1])
@@ -571,3 +581,67 @@ def test_mwss_alpha3_deterministic_including_query_counts():
         out2 = mwss_alpha3(v2, weights)
         assert out1 == out2
         assert v1.counter.count == v2.counter.count
+
+
+def _solve_or_claw(g, weights):
+    """(outcome or claw, queries) of one solve on a fresh counter."""
+    view = g.with_counter()
+    try:
+        out = mwss_alpha3(view, weights)
+    except ClawWitnessError as exc:
+        out = ("claw", exc.center, exc.leaves)
+    return out, view.counter.count
+
+
+def _solve_on_rebuilt_subgraph(g, weights):
+    """The reference construction: solve on the rebuilt subgraph of the
+    non-negative nodes, then map its ids back to g's."""
+    keep = [v for v in range(g.n) if weights[v] >= 0]
+    sub, _ = induced_subgraph(g, keep)
+    out, queries = _solve_or_claw(sub, [weights[v] for v in keep])
+    if isinstance(out, AlphaAtLeast4):
+        out = AlphaAtLeast4(tuple(keep[x] for x in out.witness))
+    elif isinstance(out, Optimal):
+        nodes = tuple(keep[x] for x in out.nodes)
+        out = Optimal(nodes, out.weight, dropped_negative=g.n - len(keep))
+    else:
+        out = ("claw", keep[out[1]], tuple(keep[x] for x in out[2]))
+    return out, queries
+
+
+def test_solve_in_place_equals_solve_on_rebuilt_subgraph():
+    # Outcome, claw witness and query count all equal those of a solve on
+    # induced_subgraph(g, keep), mapped back through keep.
+    rng = SplitMix64(1111)
+    graphs = [
+        generate(sample_spec(rng, 60, negative_weights=True))[:2] for _ in range(500)
+    ]
+    for _ in range(500):
+        n = 3 + rng.below(14)
+        weights = [rng.below(13) - 3 for _ in range(n)]
+        graphs.append((random_graph(rng, n, rng.below(101)), weights))
+    kinds = set()
+    for g, weights in graphs:
+        expected = _solve_on_rebuilt_subgraph(g, weights)
+        assert _solve_or_claw(g, weights) == expected
+        out = expected[0]
+        kinds.add(out[0] if isinstance(out, tuple) else type(out).__name__)
+    assert kinds == {"AlphaAtLeast4", "Optimal", "claw"}
+
+
+def _traced_peak(g, weights) -> int:
+    view = g.with_counter()
+    tracemalloc.start()
+    try:
+        mwss_alpha3(view, weights)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_negative_weight_builds_no_second_graph():
+    # A rebuilt subgraph would hold a second adjacency store, over 20 times
+    # the all-positive peak on this instance.
+    g, weights = bench_instances([1024, 4096, 16384], seed=0)[2]  # bench --seed 0 at 2^14
+    positive = _traced_peak(g, weights)
+    assert _traced_peak(g, with_lightest_negative(weights)) <= 4 * positive
