@@ -23,7 +23,7 @@ from math import comb, isqrt
 from typing import Sequence
 
 from .graph import NODE_LIMIT, WEIGHT_LIMIT, Graph, build_graph
-from .oracles import brute_alpha_min4, brute_is_clawfree
+from .oracles import brute_alpha_min4
 
 _MASK64 = (1 << 64) - 1
 
@@ -234,8 +234,10 @@ def verify_certificate(g: Graph, cert: Certificate) -> None:
     """Check the structural certificate against the graph; raise ValueError
     on any discrepancy.
 
-    Graphs small enough to scan (n <= 80) also go through the brute-force
-    claw and alpha oracles.
+    Each kind's structural check, once passed, proves the graph claw-free:
+    a line graph (even of a multigraph), the complement of a bipartite
+    graph (alpha <= 2) and a cycle have no claw.  Graphs small enough to
+    scan (n <= 80) also go through the brute-force alpha oracle.
     """
     if cert.kind == "line_graph_cover3":
         hedges = cert.detail["host_edges"]
@@ -267,7 +269,7 @@ def verify_certificate(g: Graph, cert: Certificate) -> None:
         for u in range(g.n):
             nbrs = g.neighbor_set(u)
             for v in range(u + 1, g.n):
-                if v not in nbrs and part[u] == part[v] and u != v:
+                if v not in nbrs and part[u] == part[v]:
                     # Base edge inside one part: base would not be bipartite.
                     raise ValueError(f"non-edge ({u}, {v}) stays inside part {part[u]}")
     elif cert.kind == "cycle":
@@ -282,9 +284,6 @@ def verify_certificate(g: Graph, cert: Certificate) -> None:
         raise ValueError(f"unknown certificate kind {cert.kind!r}")
 
     if g.n <= 80:
-        claw = brute_is_clawfree(g)
-        if claw is not None:
-            raise ValueError(f"generated graph contains a claw at {claw.center}")
         alpha = brute_alpha_min4(g)
         bound = min(cert.alpha_bound, 4)
         if cert.exact:

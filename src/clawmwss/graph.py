@@ -3,9 +3,9 @@
 The solvers in this package are analysed by the number of adjacency queries
 they make, so every pairwise adjacency decision on a solve path must go
 through :meth:`Graph.adjacent`, which bumps a per-context counter.  Direct
-structure access (neighbor sets and lists, degrees) is free and
-intentionally not counted; it is only used where the algorithm genuinely
-reads stored data rather than asking "is u adjacent to v?".  A graph keeps
+structure access (neighbor sets and lists) is free and intentionally not
+counted; it is only used where the algorithm genuinely reads stored data
+rather than asking "is u adjacent to v?".  A graph keeps
 one adjacency store, a frozenset of neighbors per node; sorted neighbor
 lists and the edge list are derived from it on demand.  The store takes
 O(n + m) words: the sets share one int object per node id, and each is a
@@ -70,9 +70,6 @@ class Graph:
 
     def neighbor_set(self, v: int) -> frozenset[int]:
         return self._memb[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._memb[v])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically ascending."""

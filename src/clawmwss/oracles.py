@@ -40,8 +40,6 @@ def brute_alpha_min4(g: Graph) -> int:
     n = g.n
     if n == 0:
         return 0
-    if g.m == 0:
-        return min(n, 4)
     adj = adjacency_masks(g)
     all_above = [( (1 << n) - 1 ) & ~((1 << (v + 1)) - 1) for v in range(n)]
     best = 1
@@ -91,20 +89,15 @@ def _better(cand: tuple[int, tuple[int, ...]], best: tuple[int, tuple[int, ...]]
 
 
 def brute_mwss(g: Graph, weights: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Exact maximum-weight stable set, admitting the empty set (weight 0).
+    """Exact maximum-weight stable set of a graph with alpha(G) <= 3,
+    admitting the empty set (weight 0).
 
-    When alpha(G) <= 3 only subsets of size <= 3 need scanning; otherwise the
-    graph must be small (n <= 24) and all stable sets are enumerated
-    recursively.  Ties go to the lexicographically smallest node tuple.
+    Scans every stable set of size <= 3; raises ValueError when alpha(G) >= 4.
+    Ties go to the lexicographically smallest node tuple.
     """
+    if brute_alpha_min4(g) >= 4:
+        raise ValueError("brute_mwss needs alpha <= 3")
     n = g.n
-    alpha = brute_alpha_min4(g)
-    if alpha >= 4 and n > 24:
-        raise ValueError("brute_mwss needs alpha <= 3 or n <= 24")
-
-    if alpha >= 4:
-        return _brute_mwss_enumerate(g, weights)
-
     adj = adjacency_masks(g)
     best: tuple[int, tuple[int, ...]] = (0, ())
     for v in range(n):
@@ -131,27 +124,3 @@ def brute_mwss(g: Graph, weights: Sequence[int]) -> tuple[tuple[int, ...], int]:
                         best = cand
                     break
     return best[1], best[0]
-
-
-def _brute_mwss_enumerate(g: Graph, weights: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Second, independent route: enumerate every stable set recursively."""
-    n = g.n
-    adj = adjacency_masks(g)
-    full = (1 << n) - 1
-    best: tuple[int, tuple[int, ...]] = (0, ())
-
-    def extend(chosen: tuple[int, ...], weight: int, allowed: int) -> None:
-        nonlocal best
-        cand = (weight, chosen)
-        if _better(cand, best):
-            best = cand
-        rest = allowed
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            above = full & ~((1 << (v + 1)) - 1)
-            extend(chosen + (v,), weight + weights[v], allowed & above & ~adj[v])
-
-    extend((), 0, full)
-    return best[1], best[0]
-

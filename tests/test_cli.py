@@ -8,7 +8,15 @@ from pathlib import Path
 import pytest
 
 import clawmwss.cli as cli
-from clawmwss import Optimal, generate, mwss_alpha3, read_instance, write_instance
+from clawmwss import (
+    AlphaAtLeast4,
+    Optimal,
+    StableSetReport,
+    generate,
+    mwss_alpha3,
+    read_instance,
+    write_instance,
+)
 from clawmwss.cli import BenchRecord, main, render_csv, run_bench, verify_instances
 from clawmwss.gen import GenSpec, SplitMix64
 from clawmwss.graph import NODE_LIMIT, build_graph
@@ -268,6 +276,19 @@ def test_gen_unwritable_out_reports_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_certify_failure_reports_error(tmp_path, capsys, monkeypatch):
+    def refuse(g, cert):
+        raise ValueError("alpha is 2, certificate claims 3")
+
+    monkeypatch.setattr(cli, "verify_certificate", refuse)
+    out = tmp_path / "x.col"
+    assert main(["gen", "--size", "10", "--out", str(out), "--certify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: certification failed: alpha is 2, certificate claims 3\n"
+    assert not out.exists()
+
+
 def test_gen_writes_identical_bytes_for_same_seed(tmp_path):
     a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     args = ["gen", "--kind", "line_graph_cover3", "--size", "200", "--seed", "7"]
@@ -336,6 +357,33 @@ def test_verify_harness_detects_injected_fault(tmp_path, capsys, monkeypatch):
     read_instance(dumped)  # the dump itself is a valid instance file
 
 
+@pytest.mark.parametrize(
+    "alpha, report, outcome, reason",
+    [
+        (3, (0, 2), None, "cardinality report size 2, oracle alpha 3"),
+        (3, (0, 1, 3), None, "cardinality report is not stable"),
+        (3, None, AlphaAtLeast4((0, 2, 4, 6)),
+         "solver claims alpha >= 4 but oracle alpha is 3"),
+        (4, None, AlphaAtLeast4((0, 1, 3, 5)), "witness (0, 1, 3, 5) is not a stable 4-set"),
+        (4, None, AlphaAtLeast4((0, 2, 4)), "witness (0, 2, 4) is not a stable 4-set"),
+        (3, None, None, "unexpected outcome type NoneType"),
+        (3, None, Optimal((0, 1), 2), "optimal set (0, 1) is not stable"),
+        (3, None, Optimal((0, 2), 3), "reported weight does not match the reported set"),
+        (4, None, Optimal((0,), 1),
+         "solver returned Optimal but nonnegative subgraph has alpha >= 4"),
+        (3, None, Optimal((0,), 1), "optimal weight 1, oracle weight 3"),
+    ],
+)
+def test_check_one_names_each_fault(monkeypatch, alpha, report, outcome, reason):
+    # C7 has alpha 3 and C9 alpha 4, both with unit weights.  A report,
+    # when given, replaces the cardinality phase's; the solver returns
+    # ``outcome`` whatever it is asked.
+    g = cycle(7 if alpha == 3 else 9)
+    if report is not None:
+        monkeypatch.setattr(cli, "stable_set_min_alpha4", lambda g: StableSetReport(report))
+    assert cli._check_one(g, [1] * g.n, lambda g, weights: outcome) == reason
+
+
 def test_verify_unwritable_dump_reports_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "mwss_alpha3", lambda g, w: Optimal(nodes=(), weight=-1, dropped_negative=0)
@@ -373,6 +421,19 @@ def test_bench_records_and_csv(tmp_path, capsys):
         for r in doc["records"]
     ]
     assert json_rows == lines[1:]
+
+
+@pytest.mark.parametrize("missing", ["--out", "--json"])
+def test_bench_unwritable_output_reports_error(tmp_path, capsys, missing):
+    paths = {"--out": tmp_path / "bench.csv", "--json": tmp_path / "bench.json"}
+    paths[missing] = tmp_path / "missing_dir" / "bench.txt"
+    rc = main(["bench", "--sizes", "64", "--seed", "1",
+               "--out", str(paths["--out"]), "--json", str(paths["--json"])])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert not paths[missing].exists()
 
 
 def test_render_csv_exact_format():

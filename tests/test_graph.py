@@ -12,8 +12,9 @@ from helpers import complete, cycle, edge_set, random_graph
 def test_build_path_graph():
     g = build_graph(3, [(0, 1), (1, 2)])
     assert (g.n, g.m) == (3, 2)
-    assert [g.degree(v) for v in range(3)] == [1, 2, 1]
+    assert [len(g.neighbor_set(v)) for v in range(3)] == [1, 2, 1]
     assert g.neighbors(1) == (0, 2)
+    assert (repr(g), repr(g.counter)) == ("Graph(n=3, m=2)", "QueryCounter(0)")
 
 
 def test_build_single_node():
@@ -57,12 +58,16 @@ def test_derived_views_match_the_distinct_edge_list():
             nbrs = g.neighbor_set(v)
             assert nbrs == {b if a == v else a for a, b in distinct if v in (a, b)}
             assert g.neighbors(v) == tuple(sorted(nbrs))
-            assert g.degree(v) == len(nbrs)
 
 
 def test_build_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
         build_graph(3, [(1, 1)])
+
+
+def test_build_rejects_negative_node_count():
+    with pytest.raises(ValueError, match="negative node count"):
+        build_graph(-1, [])
 
 
 def test_build_rejects_out_of_range():
@@ -142,7 +147,7 @@ def test_induced_subgraph_c7_prefix_is_path():
     sub, idmap = induced_subgraph(cycle(7), [0, 1, 2])
     assert (sub.n, sub.m) == (3, 2)
     assert sorted(idmap) == [0, 1, 2]
-    assert [sub.degree(v) for v in range(3)] == [1, 2, 1]
+    assert [len(sub.neighbor_set(v)) for v in range(3)] == [1, 2, 1]
 
 
 def test_clique_and_null_verdicts_match_exhaustive_scan():

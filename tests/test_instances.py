@@ -49,6 +49,8 @@ _EDGES_1000 = "p edge 49 1000\n" + "".join(
         ("p edge x 1\n", 1, "not an integer"),
         ("p edge 2\n", 1, "malformed problem line"),
         ("p node 2 1\n", 1, "malformed problem line"),
+        ("p edge -1 0\n", 1, "negative count"),
+        ("p edge 2 -1\n", 1, "negative count"),
         (f"c\np edge {NODE_LIMIT + 1} 0\n", 2, f"exceeds {NODE_LIMIT}"),
         ("p edge 2 1\nn 3 4\n", 2, "out of range"),
         ("p edge 2 1\nn 1 4.5\n", 2, "not an integer"),
@@ -101,6 +103,12 @@ def test_write_then_read_identity_on_random_instances():
         # minus the comment.
         text2 = write_instance(g2, w2)
         assert write_instance(*read_instance(text2)) == text2
+
+
+def test_write_rejects_short_weight_vector():
+    g, _ = read_instance("p edge 3 1\ne 1 2\n")
+    with pytest.raises(ValueError, match="does not match node count"):
+        write_instance(g, [1, 1])
 
 
 def test_duplicate_edge_lines_collapse_but_count_against_header():

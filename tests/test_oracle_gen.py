@@ -64,19 +64,27 @@ def test_brute_mwss_rejects_large_alpha_big_n():
     g = build_graph(30, [])
     with pytest.raises(ValueError):
         brute_mwss(g, [1] * 30)
+    # Small n is no exception: the size <= 3 scan never answers alpha >= 4.
+    with pytest.raises(ValueError, match="alpha <= 3"):
+        brute_mwss(cycle(9), [1] * 9)
 
 
 def test_brute_mwss_size_scan_equals_full_enumeration():
     # For alpha <= 3 instances this pits the size-limited scan against the
-    # independent all-subsets enumeration; both must agree exactly.
+    # independent all-subsets enumeration; both must agree exactly.  Every
+    # other draw must be refused.
     rng = SplitMix64(70)
     small_alpha = 0
     for _ in range(300):
         n = rng.randint(1, 16)
         g = random_graph(rng, n, rng.randint(20, 95))
         weights = [rng.randint(-8, 12) for _ in range(n)]
-        small_alpha += brute_alpha_min4(g) <= 3
-        assert brute_mwss(g, weights) == brute_mwss_full(g, weights)
+        if brute_alpha_min4(g) <= 3:
+            small_alpha += 1
+            assert brute_mwss(g, weights) == brute_mwss_full(g, weights)
+        else:
+            with pytest.raises(ValueError, match="alpha <= 3"):
+                brute_mwss(g, weights)
     assert small_alpha > 100
 
 
@@ -198,7 +206,7 @@ def _with_detail(cert, **detail):
 
 
 def _flip_part_of_node_with_non_neighbour(g, cert):
-    u = next(v for v in range(g.n) if g.degree(v) < g.n - 1)
+    u = next(v for v in range(g.n) if len(g.neighbor_set(v)) < g.n - 1)
     part = list(cert.detail["part"])
     part[u] ^= 1
     return g, _with_detail(cert, part=part)

@@ -68,7 +68,7 @@ def test_find_claw_agrees_with_brute_force():
 
 def test_find_claw_asks_each_neighbor_pair_once():
     g, _, _ = generate(GenSpec(kind="line_graph_cover3", size=300, seed=5))
-    degrees = [g.degree(c) for c in range(g.n)]
+    degrees = [len(g.neighbor_set(c)) for c in range(g.n)]
     assert max(degrees) >= 3
     view = g.with_counter()
     assert find_claw(view) is None
@@ -137,7 +137,7 @@ def test_classification_partitions_remaining_nodes():
         # Exclusive and shared sets are local and obey the degree bound
         # maxdeg <= 2 * sqrt(2m), squared to stay in integers.
         if g.m:
-            maxdeg = max(g.degree(v) for v in range(g.n))
+            maxdeg = max(len(g.neighbor_set(v)) for v in range(g.n))
             assert maxdeg * maxdeg <= 8 * g.m
             for name, nodes in _named_sets(cls):
                 if name != "detached":

@@ -417,6 +417,40 @@ def test_cycle6_split_when_middle_set_not_clique():
     assert out.weight == brute_mwss(g, weights)[1]
 
 
+# Anchors s, t, u = 0, 1, 2; the (t,u)-shared set is {3, 4}, non-adjacent,
+# which forces the split of the (s,u)-shared set.  Each graph breaks the
+# split in one way, and each has a claw.
+_CYCLE6_SPLIT = [(1, 3), (2, 3), (1, 4), (2, 4)]
+
+
+@pytest.mark.parametrize(
+    "extra, claw",
+    [
+        # 5 sees both 3 and 4: a claw at 5 with s.
+        ([(0, 5), (2, 5), (3, 5), (4, 5)], (5, (0, 3, 4))),
+        # 5 sees neither: a claw at u.
+        ([(0, 5), (2, 5)], (2, (3, 4, 5))),
+        # 5 and 6 both see only 3 and are non-adjacent: half 1 is no clique.
+        ([(0, 5), (2, 5), (3, 5), (0, 6), (2, 6), (3, 6)], (2, (4, 5, 6))),
+        # 5 and 6 both see only 4 and are non-adjacent: half 2 is no clique.
+        ([(0, 5), (2, 5), (4, 5), (0, 6), (2, 6), (4, 6)], (2, (3, 5, 6))),
+    ],
+    ids=["both", "neither", "half1", "half2"],
+)
+def test_cycle6_split_failure_reports_a_claw(extra, claw):
+    edges = _CYCLE6_SPLIT + extra
+    g = build_graph(1 + max(map(max, edges)), edges)
+    assert brute_is_clawfree(g) is not None
+    cls = classify(g, range(g.n), (0, 1, 2))
+    with pytest.raises(ClawWitnessError) as info:
+        mwss_type_cycle6(g, [1] * g.n, cls)
+    center, (a, b, c) = info.value.center, info.value.leaves
+    assert (center, (a, b, c)) == claw
+    nbrs = g.neighbor_set
+    assert {a, b, c} <= nbrs(center)
+    assert b not in nbrs(a) and c not in nbrs(a) and c not in nbrs(b)
+
+
 def test_type_iii_c7_and_four_cycle_shape():
     c7 = cycle(7)
     cls = classify(c7, range(c7.n), (0, 2, 4))
