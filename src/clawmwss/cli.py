@@ -21,14 +21,14 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from math import isqrt, log2
-from typing import Callable, Sequence
+from typing import IO, Callable, Sequence
 
 from .errors import ClawWitnessError, InstanceFormatError
 from .gen import (
     EDGE_LIMIT, KINDS, GenSpec, SplitMix64, generate, sample_spec, verify_certificate
 )
 from .graph import Graph, induced_subgraph, total_weight
-from .instances import read_instance, write_instance
+from .instances import dump_instance, read_instance, write_instance
 from .oracles import brute_alpha_min4, brute_mwss, is_stable_set
 from .cardinality import stable_set_min_alpha4
 from .structure import Claw, find_claw
@@ -64,11 +64,12 @@ def _error(message: object) -> int:
     return EXIT_INPUT_ERROR
 
 
-def _save(path: str, text: str) -> bool:
-    """Write ``text`` to ``path``; on failure print one error line instead."""
+def _save(path: str, write: Callable[[IO[str]], object]) -> bool:
+    """Open ``path`` and ``write`` to it; on failure print one error line
+    instead."""
     try:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+            write(fh)
     except OSError as exc:
         _error(exc)
         return False
@@ -132,8 +133,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
             verify_certificate(g, cert)
         except ValueError as exc:
             return _error(f"certification failed: {exc}")
-    text = write_instance(g, weights, comments=cert.comment_lines())
-    return EXIT_OK if _save(args.out, text) else EXIT_INPUT_ERROR
+    if not _save(args.out, lambda fh: dump_instance(g, weights, fh, cert.comment_lines())):
+        return EXIT_INPUT_ERROR
+    return EXIT_OK
 
 
 @dataclass
@@ -227,7 +229,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if summary.failures:
         first = summary.failures[0]
         header = f"c verify failure #{first.index}: {first.reason}\n"
-        if _save(args.dump, header + first.instance_text):
+        if _save(args.dump, lambda fh: fh.write(header + first.instance_text)):
             print(f"first failure dumped to {args.dump}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return EXIT_OK
@@ -241,10 +243,14 @@ class BenchRecord:
     queries: int
     ns: int
     ratio: float
+    write_ns: int = 0
+    parse_ns: int = 0
 
 
 def run_bench(sizes: Sequence[int], seed: int) -> list[BenchRecord]:
-    """Solve the pinned scaling family, recording adjacency-query counts."""
+    """Solve the pinned scaling family, recording adjacency-query counts and
+    the solve's time, then time ``write_instance`` of each instance and
+    ``read_instance`` of that text."""
     rng = SplitMix64(seed)
     records = []
     for target in sizes:
@@ -256,6 +262,11 @@ def run_bench(sizes: Sequence[int], seed: int) -> list[BenchRecord]:
         elapsed = time.perf_counter_ns() - t0
         queries = view.counter.count
         ratio = queries / (max(g.m, 1) * log2(g.n + 2))
+        t0 = time.perf_counter_ns()
+        text = write_instance(g, weights)
+        t1 = time.perf_counter_ns()
+        read_instance(text)
+        t2 = time.perf_counter_ns()
         records.append(
             BenchRecord(
                 instance=f"line_graph_cover3-{target}",
@@ -264,6 +275,8 @@ def run_bench(sizes: Sequence[int], seed: int) -> list[BenchRecord]:
                 queries=queries,
                 ns=elapsed,
                 ratio=ratio,
+                write_ns=t1 - t0,
+                parse_ns=t2 - t1,
             )
         )
     return records
@@ -277,9 +290,9 @@ def render_csv(records: Sequence[BenchRecord]) -> str:
 
 
 def render_json(records: Sequence[BenchRecord], seed: int) -> str:
-    """The CSV's records plus what they were measured under: the Python
-    version, the build mode (``__debug__``, false under ``python -O``) and
-    the seed."""
+    """The records, with the write and parse times the CSV leaves out,
+    plus what they were measured under: the Python version, the build mode
+    (``__debug__``, false under ``python -O``) and the seed."""
     doc = {
         "python": platform.python_version(),
         "debug": __debug__,
@@ -300,9 +313,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         records = run_bench(sizes, args.seed)
     except ValueError as exc:
         return _error(exc)
-    if not _save(args.out, render_csv(records)):
+    if not _save(args.out, lambda fh: fh.write(render_csv(records))):
         return EXIT_INPUT_ERROR
-    if args.json_out and not _save(args.json_out, render_json(records, args.seed)):
+    if args.json_out and not _save(
+        args.json_out, lambda fh: fh.write(render_json(records, args.seed))
+    ):
         return EXIT_INPUT_ERROR
     ratios = [r.ratio for r in records]
     lo, hi = min(ratios), max(ratios)

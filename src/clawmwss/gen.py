@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, combinations, repeat
 from math import comb, isqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .graph import NODE_LIMIT, WEIGHT_LIMIT, Graph, build_graph
 from .oracles import brute_alpha_min4
@@ -30,10 +30,10 @@ _MASK64 = (1 << 64) - 1
 KINDS = ("line_graph_cover3", "complement_triangle_free", "cycle")
 
 # Specs whose instance could have more edges than this are refused before
-# anything is allocated.  On CPython 3.11, generating a 2^18-edge line graph
-# peaks at about 190 bytes per edge above the interpreter's resident size
-# (solving it at about 95), so the largest accepted instance needs about
-# 1.5 GiB.
+# anything is allocated.  On CPython 3.11, generating and writing a
+# 2^18-edge line graph peaks at about 90 bytes per edge above the
+# interpreter's resident size, as solving it does, so the largest accepted
+# instance needs about 0.75 GiB.
 EDGE_LIMIT = 1 << 23
 
 
@@ -85,19 +85,20 @@ class Certificate:
     exact: bool
     detail: dict = field(default_factory=dict)
 
-    def comment_lines(self) -> list[str]:
+    def comment_lines(self) -> Iterator[str]:
+        """Yield the certificate's comment lines one at a time, so that a
+        streamed writer holds none of them."""
         rel = "=" if self.exact else "<="
-        lines = [f"cert kind={self.kind} alpha{rel}{self.alpha_bound}"]
+        yield f"cert kind={self.kind} alpha{rel}{self.alpha_bound}"
         if self.kind == "line_graph_cover3":
-            lines.append("cert centers " + " ".join(map(str, self.detail["centers"])))
-            lines.append("cert disjoint " + " ".join(map(str, self.detail["disjoint"])))
+            yield "cert centers " + " ".join(map(str, self.detail["centers"]))
+            yield "cert disjoint " + " ".join(map(str, self.detail["disjoint"]))
             for lid, (hu, hv) in enumerate(self.detail["host_edges"]):
-                lines.append(f"cert hedge {lid} {hu} {hv}")
+                yield f"cert hedge {lid} {hu} {hv}"
         elif self.kind == "complement_triangle_free":
-            lines.append("cert part " + " ".join(map(str, self.detail["part"])))
+            yield "cert part " + " ".join(map(str, self.detail["part"]))
         elif self.kind == "cycle":
-            lines.append(f"cert length {self.detail['length']}")
-        return lines
+            yield f"cert length {self.detail['length']}"
 
 
 def line_graph(host_n: int, host_edges: Sequence[tuple[int, int]]) -> Graph:
@@ -153,6 +154,8 @@ def _gen_line_graph_cover3(spec: GenSpec, rng: SplitMix64) -> tuple[Graph, Certi
                 if rng.below(2):
                     add(centers[i], centers[j])
 
+    # Free the duplicate check before the build, whose lists set the peak.
+    del seen
     cert = Certificate(
         kind=spec.kind,
         alpha_bound=3,

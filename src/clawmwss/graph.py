@@ -1,20 +1,21 @@
 """Immutable simple undirected graph with a counted adjacency oracle.
 
 The solvers in this package are analysed by the number of adjacency queries
-they make, so every pairwise adjacency decision on a solve path must go
-through :meth:`Graph.adjacent`, which bumps a per-context counter.  Direct
+they make, so every pairwise adjacency decision on a solve path is charged
+to a per-context counter: one by one through :meth:`Graph.adjacent`, or by
+a batch primitive, which charges exactly the pairs it decides.  Direct
 structure access (neighbor sets and lists) is free and intentionally not
 counted; it is only used where the algorithm genuinely reads stored data
 rather than asking "is u adjacent to v?".  A graph keeps
 one adjacency store, a frozenset of neighbors per node; sorted neighbor
-lists and the edge list are derived from it on demand.  The store takes
+lists are derived from it on demand.  The store takes
 O(n + m) words: the sets share one int object per node id, and each is a
 presized copy, with 2 to 4 hash-table slots per member.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 NodeWeights = Sequence[int]
 
@@ -71,13 +72,6 @@ class Graph:
     def neighbor_set(self, v: int) -> frozenset[int]:
         return self._memb[v]
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """All edges as (u, v) with u < v, lexicographically ascending."""
-        for u in range(self.n):
-            for v in sorted(self._memb[u]):
-                if u < v:
-                    yield (u, v)
-
     def with_counter(self) -> "Graph":
         """Shallow view sharing structure but owning a fresh query counter
         at 0."""
@@ -120,10 +114,17 @@ def is_clique_or_witness(g: Graph, nodes: Sequence[int]) -> tuple[int, int] | No
     non-adjacent pair (the first in scan order).
 
     Costs O(k^2) adjacency queries for k nodes.  Empty and singleton sets
-    are cliques vacuously.
+    are cliques vacuously.  Row u, the pairs of u with the nodes after it,
+    is decided by one superset test and charged its length; a row that
+    fails is scanned pair by pair, which charges the pairs up to the first
+    non-neighbour, exactly as a scan alone would.
     """
     for i, u in enumerate(nodes):
-        for v in nodes[i + 1 :]:
+        row = nodes[i + 1 :]
+        if 0 <= u < g.n and g._memb[u].issuperset(row):
+            g.counter.count += len(row)
+            continue
+        for v in row:
             if not g.adjacent(u, v):
                 return (u, v)
     return None

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from clawmwss import Graph, build_graph, generate
+from clawmwss import Graph, build_graph, generate, write_instance
 from clawmwss.gen import GenSpec, SplitMix64, sample_spec
 
 
@@ -75,8 +75,69 @@ def with_lightest_negative(weights: list[int]) -> list[int]:
     return out
 
 
+def edges(g: Graph):
+    """All edges as (u, v) with u < v, lexicographically ascending, read
+    from the neighbor sets."""
+    for u in range(g.n):
+        for v in sorted(g.neighbor_set(u)):
+            if u < v:
+                yield (u, v)
+
+
 def edge_set(g: Graph) -> set[tuple[int, int]]:
-    return set(g.edges())
+    return set(edges(g))
+
+
+def clique_witness_by_pairs(g: Graph, nodes) -> tuple[int, int] | None:
+    """Reference for ``graph.is_clique_or_witness``: every pair in scan
+    order through the counted oracle, stopping at the first non-neighbour."""
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1 :]:
+            if not g.adjacent(u, v):
+                return (u, v)
+    return None
+
+
+_FUZZ_TOKENS = ("99999999999999999999", "1048577", "2305843009213693953", "x")
+
+
+def mutate(data: bytes, rng) -> bytes:
+    """One random edit of an instance file: drop, duplicate or truncate a
+    line, swap in a hostile token, or set a byte to a non-ASCII value."""
+    lines = data.split(b"\n")
+    i = rng.below(len(lines))
+    op = rng.below(5)
+    if op == 0:
+        del lines[i]
+    elif op == 1:
+        lines.insert(i, lines[i])
+    elif op == 2:
+        lines[i] = lines[i][: rng.below(len(lines[i]) + 1)]
+    elif op == 3:
+        tokens = lines[i].split(b" ")
+        tokens[rng.below(len(tokens))] = _FUZZ_TOKENS[rng.below(len(_FUZZ_TOKENS))].encode()
+        lines[i] = b" ".join(tokens)
+    else:
+        out = bytearray(data)
+        out[rng.below(len(out))] = 0x80 + rng.below(0x80)
+        return bytes(out)
+    return b"\n".join(lines)
+
+
+def mutant_corpus(count: int = 500):
+    """``count`` seeded one-edit mutants of three small instance files, as
+    bytes: a line graph, a complement of a bipartite graph and a cycle."""
+    bases = []
+    for spec in (
+        GenSpec("line_graph_cover3", 60, -20, 50, seed=21),
+        GenSpec("complement_triangle_free", 12, -20, 50, seed=22),
+        GenSpec("cycle", 7, seed=23),
+    ):
+        g, weights, _ = generate(spec)
+        bases.append(write_instance(g, weights, ["fuzz base"]).encode("ascii"))
+    rng = SplitMix64(0xF022)
+    for _ in range(count):
+        yield mutate(bases[rng.below(len(bases))], rng)
 
 
 def prefix_rows(g: Graph, order: list[int], probes) -> dict[int, list[int]]:

@@ -21,7 +21,7 @@ from clawmwss.cli import BenchRecord, main, render_csv, run_bench, verify_instan
 from clawmwss.gen import GenSpec, SplitMix64
 from clawmwss.graph import NODE_LIMIT, build_graph
 
-from helpers import bench_instances, cycle, star, with_lightest_negative
+from helpers import bench_instances, cycle, edge_set, mutant_corpus, star, with_lightest_negative
 
 
 def _instance_file(tmp_path, name, g, weights, comments=()):
@@ -119,7 +119,7 @@ CLAW_7 = (
 
 def _toggle_pairs(g, rng, count):
     """``g`` with ``count`` random node pairs toggled between edge and non-edge."""
-    edges = set(g.edges())
+    edges = edge_set(g)
     for _ in range(count):
         u, v = sorted(rng.below(g.n) for _ in range(2))
         if u != v:
@@ -193,45 +193,10 @@ def test_usage_error_exits_1_with_one_error_line(argv, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-_FUZZ_TOKENS = ("99999999999999999999", "1048577", "2305843009213693953", "x")
-
-
-def _mutate(data: bytes, rng) -> bytes:
-    """One random edit of an instance file: drop, duplicate or truncate a
-    line, swap in a hostile token, or set a byte to a non-ASCII value."""
-    lines = data.split(b"\n")
-    i = rng.below(len(lines))
-    op = rng.below(5)
-    if op == 0:
-        del lines[i]
-    elif op == 1:
-        lines.insert(i, lines[i])
-    elif op == 2:
-        lines[i] = lines[i][: rng.below(len(lines[i]) + 1)]
-    elif op == 3:
-        tokens = lines[i].split(b" ")
-        tokens[rng.below(len(tokens))] = _FUZZ_TOKENS[rng.below(len(_FUZZ_TOKENS))].encode()
-        lines[i] = b" ".join(tokens)
-    else:
-        out = bytearray(data)
-        out[rng.below(len(out))] = 0x80 + rng.below(0x80)
-        return bytes(out)
-    return b"\n".join(lines)
-
-
 def test_mutated_instance_files_end_in_one_line(tmp_path, capsys):
-    bases = []
-    for spec in (
-        GenSpec("line_graph_cover3", 60, -20, 50, seed=21),
-        GenSpec("complement_triangle_free", 12, -20, 50, seed=22),
-        GenSpec("cycle", 7, seed=23),
-    ):
-        g, weights, _ = generate(spec)
-        bases.append(write_instance(g, weights, ["fuzz base"]).encode("ascii"))
-    rng = SplitMix64(0xF022)
     path = tmp_path / "mutant.txt"
-    for _ in range(500):
-        path.write_bytes(_mutate(bases[rng.below(len(bases))], rng))
+    for data in mutant_corpus():
+        path.write_bytes(data)
         for command in ("solve", "check"):
             rc = main([command, "--input", str(path)])
             captured = capsys.readouterr()

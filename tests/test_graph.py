@@ -6,7 +6,7 @@ from clawmwss.graph import induced_subgraph, is_clique_or_witness, is_null_to
 from clawmwss.instances import write_instance
 from clawmwss.structure import classify
 
-from helpers import complete, cycle, edge_set, random_graph
+from helpers import clique_witness_by_pairs, complete, cycle, edge_set, random_graph
 
 
 def test_build_path_graph():
@@ -124,6 +124,27 @@ def test_clique_witness_examples():
     assert is_clique_or_witness(cycle(7), [0, 2]) == (0, 2)
     assert is_clique_or_witness(cycle(7), []) is None
     assert is_clique_or_witness(cycle(7), [3]) is None
+
+
+def test_clique_rows_charge_what_the_pair_loop_charges():
+    rng = SplitMix64(1313)
+    verdicts = []
+    for _ in range(2000):
+        n = rng.randint(1, 30)
+        g = random_graph(rng, n, rng.randint(60, 100))
+        nodes = [rng.below(n) for _ in range(rng.randint(0, 9))]
+        if rng.below(2):
+            nodes = sorted(set(nodes))
+        batch, pairs = g.with_counter(), g.with_counter()
+        verdict = is_clique_or_witness(batch, nodes)
+        assert verdict == clique_witness_by_pairs(pairs, nodes)
+        assert batch.counter.count == pairs.counter.count
+        verdicts.append(verdict is None)
+    assert 200 < sum(verdicts) < 1800
+    # An id out of range is refused as the oracle refuses it.
+    for nodes in ([0, 1, 7], [7, 0], [-1, 0]):
+        with pytest.raises(IndexError):
+            is_clique_or_witness(complete(3), nodes)
 
 
 def test_null_examples():

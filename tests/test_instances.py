@@ -1,14 +1,18 @@
+import hashlib
+import io
 import itertools
 import sys
 import tracemalloc
 
 import pytest
 
-from clawmwss import InstanceFormatError, generate, read_instance, write_instance
+from clawmwss import InstanceFormatError, generate, instances, read_instance, write_instance
+from clawmwss.cli import main
 from clawmwss.gen import GenSpec, SplitMix64
 from clawmwss.graph import NODE_LIMIT, WEIGHT_LIMIT
+from clawmwss.instances import dump_instance
 
-from helpers import edge_set, random_clawfree, random_graph
+from helpers import edge_set, edges, mutant_corpus, random_clawfree, random_graph
 
 
 def test_read_minimal_with_default_weights():
@@ -129,7 +133,7 @@ def test_string_and_open_file_parse_alike(tmp_path):
     g1, w1 = read_instance(text)
     with open(path) as fh:
         g2, w2 = read_instance(fh)
-    assert (g1.n, g1.m, list(g1.edges()), w1) == (g2.n, g2.m, list(g2.edges()), w2)
+    assert (g1.n, g1.m, list(edges(g1)), w1) == (g2.n, g2.m, list(edges(g2)), w2)
     assert w1 == w
 
 
@@ -152,3 +156,124 @@ def test_parse_holds_no_edge_list_and_a_right_sized_store(tmp_path):
         nbrs = g.neighbor_set(v)
         assert sys.getsizeof(nbrs) == sys.getsizeof(frozenset(set(nbrs)))
     assert len({id(u) for v in range(g.n) for u in g.neighbor_set(v)}) <= g.n
+
+
+# SHA-256 of ``write_instance(g, w, cert.comment_lines())`` for one spec per
+# generator kind and a 2^14 line graph, taken from the writer that built
+# the whole text as a list of lines before the streamed one replaced it.
+GOLDEN = [
+    (GenSpec("line_graph_cover3", 300, -50, 50, seed=5),
+     "5067bf34596ec6607aa7b9aca1f3c21e84da59b472a6b56277826d1d4355ade9"),
+    (GenSpec("complement_triangle_free", 40, -50, 50, seed=6),
+     "6547c78bd0d91fbb48e539239b9e135d7c12e9991f79b618d181f19a7c789e7c"),
+    (GenSpec("cycle", 11, 1, 100, seed=7),
+     "4044c54c0997fc6fa0d4a8d26fc03295affb2df2907bf13b4155753eb81468ae"),
+    (GenSpec("line_graph_cover3", 1 << 14, 1, 1 << 40, seed=3),
+     "2b6430616a9cd9f5cd5fdf2ab88ee5f58e4a9cf7c107f3c22c04ae8a790d8412"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", GOLDEN, ids=[s.kind for s, _ in GOLDEN])
+def test_writer_output_is_byte_identical_to_the_golden_hash(spec, digest, tmp_path):
+    g, w, cert = generate(spec)
+    text = write_instance(g, w, cert.comment_lines())
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+    streamed = io.StringIO()
+    dump_instance(g, w, streamed, cert.comment_lines())
+    assert streamed.getvalue() == text
+    out = tmp_path / "gen.col"
+    argv = ["gen", "--kind", spec.kind, "--size", str(spec.size), "--seed", str(spec.seed),
+            "--wlo", str(spec.weight_lo), "--whi", str(spec.weight_hi), "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_streamed_writer_holds_no_text_of_the_instance(tmp_path):
+    g, w, _ = generate(GenSpec("line_graph_cover3", 1 << 14, seed=3))
+    with open(tmp_path / "mid.txt", "w", encoding="ascii") as fh:
+        tracemalloc.start()
+        try:
+            dump_instance(g, w, fh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert g.m > 10_000
+    # Building the whole text as a list of lines peaked at about 88 bytes
+    # per edge; the stream holds one node's row and the id strings.
+    assert peak / g.m < 8
+
+
+class _Batches:
+    """A text stream whose ``readlines`` hands out ``size`` lines at a time,
+    whatever the hint."""
+
+    def __init__(self, text: str, size: int):
+        self._lines = io.StringIO(text).readlines()
+        self._size = size
+
+    def readlines(self, hint: int = -1) -> list[str]:
+        batch, self._lines = self._lines[: self._size], self._lines[self._size :]
+        return batch
+
+
+def _outcome(source):
+    try:
+        g, w = read_instance(source)
+    except InstanceFormatError as exc:
+        return exc.line_no, exc.message
+    return g.n, g.m, [g.neighbor_set(v) for v in range(g.n)], w
+
+
+# Edge lines that each batch check must refuse or accept as the line loop
+# does, after a first edge line so that every batch is offered to it.
+_EDGE_CASES = [
+    "p edge 4 3\ne 1 2\n" + body
+    for body in (
+        "e 0 2\ne 3 4\n",  # id below range
+        "e 1 5\ne 3 4\n",  # id one above range
+        "e 3 4\ne 3 3\n",  # self-loop
+        "e 3 4\ne1 2 3\n",  # a first token that only starts with e
+        "e 3 4\ne 1 2 3\n",  # four tokens
+        "e 3 4\ne 1\n",  # two tokens
+        "e 3 4\n e 1 3\n",  # leading blank
+        "e 2 3\ne 3 4\ne 1 4\n",  # one line too many
+        "e +2 3\ne 03 1_0\n",  # signs, zeros and underscores int() accepts
+        "e\t2\t1\ne 3 4\r\n",  # other blanks
+        "e 2 1\ne 2 1",  # duplicates, no final newline
+        "e 3 4\nc note\n\nn 2 -5\ne 2 4\n",  # comment, blank and weight lines
+        "e 3 4\ne 2 \u0663\n",  # a non-ASCII digit, which int() reads as 3
+    )
+]
+
+
+def test_batched_edge_lines_read_like_the_line_loop(monkeypatch):
+    accepted = []
+    edge_batch = instances._edge_batch
+
+    def counted(*args):
+        ends = edge_batch(*args)
+        accepted.append(ends is not None)
+        return ends
+
+    texts = [data.decode("ascii", "surrogateescape") for data in mutant_corpus()]
+    texts += _EDGE_CASES
+    monkeypatch.setattr(instances, "_edge_batch", lambda *args: None)
+    expected = [_outcome(text) for text in texts]
+    monkeypatch.setattr(instances, "_edge_batch", counted)
+    for text, want in zip(texts, expected):
+        assert _outcome(_Batches(text, 1)) == want
+        assert _outcome(_Batches(text, 2)) == want
+        assert _outcome(text) == want
+    assert sum(accepted) > 10_000 and not all(accepted)
+
+
+@pytest.mark.parametrize("size", [1, 2, 1 << 20])
+def test_a_line_that_starts_without_e_is_not_an_edge_line(size):
+    # Three tokens per line on average and "e" at every third token: only
+    # the count of "\ne" tells that the second line does not start with "e".
+    assert instances._edge_batch(["e 1\n", "2 e 3 4\n"], 4, 2) is None
+    for text, line in (("p edge 4 2\ne 1\n2 e 3 4\n", 2),
+                       ("p edge 4 3\ne 1 2\ne 1\n2 e 3 4\n", 3)):
+        with pytest.raises(InstanceFormatError, match="malformed edge line") as excinfo:
+            read_instance(_Batches(text, size))
+        assert excinfo.value.line_no == line
