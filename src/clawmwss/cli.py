@@ -245,17 +245,20 @@ class BenchRecord:
     ratio: float
     write_ns: int = 0
     parse_ns: int = 0
+    gen_ns: int = 0
 
 
 def run_bench(sizes: Sequence[int], seed: int) -> list[BenchRecord]:
     """Solve the pinned scaling family, recording adjacency-query counts and
-    the solve's time, then time ``write_instance`` of each instance and
-    ``read_instance`` of that text."""
+    the solve's time, plus the time of ``generate`` of each instance,
+    ``write_instance`` of it and ``read_instance`` of that text."""
     rng = SplitMix64(seed)
     records = []
     for target in sizes:
         spec = GenSpec(kind="line_graph_cover3", size=target, seed=rng.next_u64())
+        t0 = time.perf_counter_ns()
         g, weights, _ = generate(spec)
+        gen_ns = time.perf_counter_ns() - t0
         view = g.with_counter()
         t0 = time.perf_counter_ns()
         mwss_alpha3(view, weights)
@@ -277,6 +280,7 @@ def run_bench(sizes: Sequence[int], seed: int) -> list[BenchRecord]:
                 ratio=ratio,
                 write_ns=t1 - t0,
                 parse_ns=t2 - t1,
+                gen_ns=gen_ns,
             )
         )
     return records
@@ -290,9 +294,9 @@ def render_csv(records: Sequence[BenchRecord]) -> str:
 
 
 def render_json(records: Sequence[BenchRecord], seed: int) -> str:
-    """The records, with the write and parse times the CSV leaves out,
-    plus what they were measured under: the Python version, the build mode
-    (``__debug__``, false under ``python -O``) and the seed."""
+    """The records, with the generate, write and parse times the CSV
+    leaves out, plus what they were measured under: the Python version, the
+    build mode (``__debug__``, false under ``python -O``) and the seed."""
     doc = {
         "python": platform.python_version(),
         "debug": __debug__,

@@ -17,8 +17,8 @@ specs produce bit-identical instances on every platform.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, combinations, repeat
 from math import comb, isqrt
 from typing import Iterator, Sequence
 
@@ -31,9 +31,9 @@ KINDS = ("line_graph_cover3", "complement_triangle_free", "cycle")
 
 # Specs whose instance could have more edges than this are refused before
 # anything is allocated.  On CPython 3.11, generating and writing a
-# 2^18-edge line graph peaks at about 90 bytes per edge above the
-# interpreter's resident size, as solving it does, so the largest accepted
-# instance needs about 0.75 GiB.
+# 2^18-edge line graph peaks at about 80 bytes per edge above the
+# interpreter's resident size, and solving it at about 83, so the largest
+# accepted instance needs about 0.7 GiB.
 EDGE_LIMIT = 1 << 23
 
 
@@ -56,6 +56,21 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % n
+
+    def below_many(self, n: int, k: int) -> list[int]:
+        """``[self.below(n) for _ in range(k)]`` in one local-variable loop."""
+        if n <= 0:
+            raise ValueError("below() needs a positive bound")
+        state = self._state
+        out: list[int] = []
+        append = out.append
+        for _ in range(k):
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            append((z ^ (z >> 31)) % n)
+        self._state = state
+        return out
 
     def randint(self, lo: int, hi: int) -> int:
         return lo + self.below(hi - lo + 1)
@@ -102,13 +117,18 @@ class Certificate:
 
 
 def line_graph(host_n: int, host_edges: Sequence[tuple[int, int]]) -> Graph:
-    """Line graph of a simple host graph; node i of the result is edge i."""
+    """Line graph of a simple host graph; node i of the result is edge i.
+
+    Node i = (u, v) is adjacent to the other edges at u and at v: the union
+    of the two ends' incidence sets less i, frozen as a presized copy.
+    """
     incident: list[list[int]] = [[] for _ in range(host_n)]
     for idx, (u, v) in enumerate(host_edges):
         incident[u].append(idx)
         incident[v].append(idx)
-    pairs = chain.from_iterable(map(combinations, incident, repeat(2)))
-    return build_graph(len(host_edges), pairs)
+    at = [set(s) for s in incident]
+    memb = [frozenset((at[u] | at[v]) - {i}) for i, (u, v) in enumerate(host_edges)]
+    return Graph(len(memb), memb, sum(map(len, memb)) // 2)
 
 
 def _center_degree(size: int) -> int:
@@ -154,8 +174,6 @@ def _gen_line_graph_cover3(spec: GenSpec, rng: SplitMix64) -> tuple[Graph, Certi
                 if rng.below(2):
                     add(centers[i], centers[j])
 
-    # Free the duplicate check before the build, whose lists set the peak.
-    del seen
     cert = Certificate(
         kind=spec.kind,
         alpha_bound=3,
@@ -166,21 +184,31 @@ def _gen_line_graph_cover3(spec: GenSpec, rng: SplitMix64) -> tuple[Graph, Certi
 
 
 def _gen_complement_triangle_free(spec: GenSpec, rng: SplitMix64) -> tuple[Graph, Certificate]:
+    """Each node is adjacent to the rest of its part, and a cross pair is
+    an edge iff its draw reaches the density: one draw per cross pair, in
+    lexicographic order.  The cross pairs that miss it are the base."""
     n = max(1, spec.size)
-    part = [rng.below(2) for _ in range(n)]
+    part = rng.below_many(2, n)
     density = rng.randint(25, 75)
-    base: set[tuple[int, int]] = set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            if part[u] != part[v] and rng.below(100) < density:
-                base.add((u, v))
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in base
-    ]
+    ids = list(range(n))  # one int object per node id, shared by every set
+    sides: list[list[int]] = [[], []]
+    for v in ids:
+        sides[part[v]].append(v)
+    nbrs = [set(sides[p]) for p in part]
+    for u in ids:
+        nbrs[u].discard(u)
+        other = sides[1 - part[u]]
+        later = other[bisect_right(other, u) :]
+        draws = rng.below_many(100, len(later))
+        kept = [v for v, x in zip(later, draws) if x >= density]
+        nbrs[u].update(kept)
+        for v in kept:
+            nbrs[v].add(u)
+    memb = [frozenset(s) for s in nbrs]
     cert = Certificate(
         kind=spec.kind, alpha_bound=2, exact=False, detail={"part": part}
     )
-    return build_graph(n, edges), cert
+    return Graph(n, memb, sum(map(len, memb)) // 2), cert
 
 
 def _gen_cycle(spec: GenSpec, rng: SplitMix64) -> tuple[Graph, Certificate]:
@@ -229,7 +257,8 @@ def generate(spec: GenSpec) -> tuple[Graph, list[int], Certificate]:
         raise ValueError(f"{spec.kind} of size {spec.size} would exceed {EDGE_LIMIT} edges")
     rng = SplitMix64(spec.seed)
     g, cert = _GENERATORS[spec.kind](spec, rng)
-    weights = [rng.randint(spec.weight_lo, spec.weight_hi) for _ in range(g.n)]
+    lo = spec.weight_lo
+    weights = [lo + x for x in rng.below_many(spec.weight_hi - lo + 1, g.n)]
     return g, weights, cert
 
 

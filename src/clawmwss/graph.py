@@ -10,7 +10,9 @@ rather than asking "is u adjacent to v?".  A graph keeps
 one adjacency store, a frozenset of neighbors per node; sorted neighbor
 lists are derived from it on demand.  The store takes
 O(n + m) words: the sets share one int object per node id, and each is a
-presized copy, with 2 to 4 hash-table slots per member.
+presized copy, with 2 to 4 hash-table slots per member.  The parser streams
+its edges into :func:`build_graph`; the generators build the sets with set
+operations and hand them to :class:`Graph`, keeping both properties.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 from clawmwss import Graph, build_graph, generate, write_instance
 from clawmwss.gen import GenSpec, SplitMix64, sample_spec
@@ -28,6 +29,47 @@ def random_graph(rng: SplitMix64, n: int, percent: int) -> Graph:
         if rng.below(100) < percent
     ]
     return build_graph(n, edges)
+
+
+def line_graph_by_pairs(host_n: int, host_edges) -> Graph:
+    """Reference for ``gen.line_graph``: every pair of host edges that meet
+    at a host node, streamed through ``build_graph``."""
+    incident: list[list[int]] = [[] for _ in range(host_n)]
+    for idx, (u, v) in enumerate(host_edges):
+        incident[u].append(idx)
+        incident[v].append(idx)
+    pairs = itertools.chain.from_iterable(
+        map(itertools.combinations, incident, itertools.repeat(2))
+    )
+    return build_graph(len(host_edges), pairs)
+
+
+def complement_triangle_free_by_pairs(spec: GenSpec) -> tuple[Graph, list[int], list[int]]:
+    """Reference for ``generate`` of a ``complement_triangle_free`` spec:
+    (graph, weights, part) from one ``below`` call per draw, the complement
+    of the base's edges streamed through ``build_graph``."""
+    rng = SplitMix64(spec.seed)
+    n = max(1, spec.size)
+    part = [rng.below(2) for _ in range(n)]
+    density = rng.randint(25, 75)
+    base = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            if part[u] != part[v] and rng.below(100) < density:
+                base.add((u, v))
+    g = build_graph(n, (p for p in itertools.combinations(range(n), 2) if p not in base))
+    weights = [rng.randint(spec.weight_lo, spec.weight_hi) for _ in range(n)]
+    return g, weights, part
+
+
+def assert_right_sized_store(g: Graph) -> None:
+    """The ``graph`` module's store invariants: each neighbor set is as
+    large as a presized copy of it, and the sets share at most n int
+    objects."""
+    for v in range(g.n):
+        nbrs = g.neighbor_set(v)
+        assert sys.getsizeof(nbrs) == sys.getsizeof(frozenset(set(nbrs)))
+    assert len({id(u) for v in range(g.n) for u in g.neighbor_set(v)}) <= g.n
 
 
 def random_clawfree(rng: SplitMix64, max_n: int, negative_weights: bool = False):

@@ -386,6 +386,8 @@ def test_bench_records_and_csv(tmp_path, capsys):
         for r in doc["records"]
     ]
     assert json_rows == lines[1:]
+    times = ("gen_ns", "write_ns", "parse_ns")
+    assert all(r[k] > 0 for r in doc["records"] for k in times)
 
 
 @pytest.mark.parametrize("missing", ["--out", "--json"])

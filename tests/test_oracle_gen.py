@@ -19,7 +19,17 @@ from clawmwss.oracles import (
     is_stable_set,
 )
 
-from helpers import brute_mwss_full, complete, cycle, edge_set, random_graph, star
+from helpers import (
+    assert_right_sized_store,
+    brute_mwss_full,
+    complement_triangle_free_by_pairs,
+    complete,
+    cycle,
+    edge_set,
+    line_graph_by_pairs,
+    random_graph,
+    star,
+)
 
 
 def test_splitmix64_reference_sequence():
@@ -36,6 +46,25 @@ def test_splitmix64_bounds():
         assert 3 <= rng.randint(3, 7) <= 7
     with pytest.raises(ValueError):
         rng.below(0)
+
+
+@pytest.mark.parametrize("n,k", [(1, 0), (5, 0), (1, 4), (2, 33), (100, 250), (7, 1),
+                                 (1 << 40, 20), ((1 << 64) + 3, 9)])
+def test_below_many_equals_repeated_below(n, k):
+    many, one = SplitMix64(n + k), SplitMix64(n + k)
+    assert many.below_many(n, k) == [one.below(n) for _ in range(k)]
+    assert many.next_u64() == one.next_u64()
+
+
+@pytest.mark.parametrize("n", [0, -1, -(1 << 70)])
+@pytest.mark.parametrize("k", [0, 3])
+def test_below_many_rejects_a_non_positive_bound_and_draws_nothing(n, k):
+    rng = SplitMix64(11)
+    with pytest.raises(ValueError):
+        rng.below(n)
+    with pytest.raises(ValueError):
+        rng.below_many(n, k)
+    assert rng.next_u64() == SplitMix64(11).next_u64()
 
 
 def test_brute_alpha_examples():
@@ -184,6 +213,46 @@ def test_line_graphs_of_random_hosts_are_claw_free():
         ]
         g = line_graph(hn, hedges)
         assert brute_is_clawfree(g) is None
+
+
+def _same_store(g, ref):
+    assert (g.n, g.m) == (ref.n, ref.m)
+    assert [g.neighbor_set(v) for v in range(g.n)] == [ref.neighbor_set(v) for v in range(ref.n)]
+    assert_right_sized_store(g)
+
+
+def test_line_graph_matches_the_pairwise_build():
+    rng = SplitMix64(74)
+    hosts = [
+        (5, []),  # edgeless
+        (7, [(0, 1), (2, 3)]),  # isolated host nodes
+        (9, [(0, leaf) for leaf in range(1, 9)]),  # a star
+        # 351 host edges, so the line graph's ids are not all cached ints.
+        (40, [(u, v) for u in range(40) for v in range(u + 1, 40) if u * v % 3]),
+    ]
+    for _ in range(220):
+        hn = rng.randint(1, 14)
+        percent = rng.below(101)
+        hedges = [
+            (v, u) if rng.below(2) else (u, v)
+            for u in range(hn)
+            for v in range(u + 1, hn)
+            if rng.below(100) < percent
+        ]
+        hosts.append((hn, hedges))
+    for hn, hedges in hosts:
+        _same_store(line_graph(hn, hedges), line_graph_by_pairs(hn, hedges))
+
+
+def test_complement_generator_matches_the_pairwise_build():
+    rng = SplitMix64(75)
+    sizes = [0, 1, 2, 3, 300] + [rng.randint(1, 40) for _ in range(200)]
+    for size in sizes:
+        spec = GenSpec("complement_triangle_free", size, -50, 50, seed=rng.next_u64())
+        g, weights, cert = generate(spec)
+        ref, ref_weights, part = complement_triangle_free_by_pairs(spec)
+        _same_store(g, ref)
+        assert (weights, cert.detail["part"]) == (ref_weights, part)
 
 
 def test_certificate_round_trips_through_instance_comments():
