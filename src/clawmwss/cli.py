@@ -246,12 +246,17 @@ class BenchRecord:
     write_ns: int = 0
     parse_ns: int = 0
     gen_ns: int = 0
+    validate_ns: int = 0
+    validate_queries: int = 0
+    store_bytes: int = 0
 
 
 def run_bench(sizes: Sequence[int], seed: int) -> list[BenchRecord]:
     """Solve the pinned scaling family, recording adjacency-query counts and
     the solve's time, plus the time of ``generate`` of each instance,
-    ``write_instance`` of it and ``read_instance`` of that text."""
+    ``write_instance`` of it and ``read_instance`` of that text, the time
+    and queries of ``find_claw`` on it alone, and the bytes of its
+    adjacency store (``sys.getsizeof`` summed over the per-node tuples)."""
     rng = SplitMix64(seed)
     records = []
     for target in sizes:
@@ -270,6 +275,9 @@ def run_bench(sizes: Sequence[int], seed: int) -> list[BenchRecord]:
         t1 = time.perf_counter_ns()
         read_instance(text)
         t2 = time.perf_counter_ns()
+        claw_view = g.with_counter()
+        find_claw(claw_view)
+        t3 = time.perf_counter_ns()
         records.append(
             BenchRecord(
                 instance=f"line_graph_cover3-{target}",
@@ -281,6 +289,9 @@ def run_bench(sizes: Sequence[int], seed: int) -> list[BenchRecord]:
                 write_ns=t1 - t0,
                 parse_ns=t2 - t1,
                 gen_ns=gen_ns,
+                validate_ns=t3 - t2,
+                validate_queries=claw_view.counter.count,
+                store_bytes=sum(sys.getsizeof(g.neighbors(v)) for v in range(g.n)),
             )
         )
     return records
@@ -294,9 +305,10 @@ def render_csv(records: Sequence[BenchRecord]) -> str:
 
 
 def render_json(records: Sequence[BenchRecord], seed: int) -> str:
-    """The records, with the generate, write and parse times the CSV
-    leaves out, plus what they were measured under: the Python version, the
-    build mode (``__debug__``, false under ``python -O``) and the seed."""
+    """The records, with the generate, write, parse and claw-check figures
+    and the store bytes the CSV leaves out, plus what they were measured
+    under: the Python version, the build mode (``__debug__``, false under
+    ``python -O``) and the seed."""
     doc = {
         "python": platform.python_version(),
         "debug": __debug__,

@@ -17,7 +17,7 @@ specs produce bit-identical instances on every platform.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import comb, isqrt
 from typing import Iterator, Sequence
@@ -31,9 +31,10 @@ KINDS = ("line_graph_cover3", "complement_triangle_free", "cycle")
 
 # Specs whose instance could have more edges than this are refused before
 # anything is allocated.  On CPython 3.11, generating and writing a
-# 2^18-edge line graph peaks at about 80 bytes per edge above the
-# interpreter's resident size, and solving it at about 83, so the largest
-# accepted instance needs about 0.7 GiB.
+# 2^18-edge line graph peaks at about 19 bytes per edge above the
+# interpreter's resident size, and solving it at about 24; a 0.9M-edge
+# complement_triangle_free instance at about 24 and 23.  So the largest
+# accepted instance needs about 0.2 GiB.
 EDGE_LIMIT = 1 << 23
 
 
@@ -119,16 +120,21 @@ class Certificate:
 def line_graph(host_n: int, host_edges: Sequence[tuple[int, int]]) -> Graph:
     """Line graph of a simple host graph; node i of the result is edge i.
 
-    Node i = (u, v) is adjacent to the other edges at u and at v: the union
-    of the two ends' incidence sets less i, frozen as a presized copy.
+    Node i = (u, v) is adjacent to the other edges at u and at v: the merge
+    of the two ends' ascending incidence lists less both copies of i.  The
+    host is simple, so i is the only id the two lists share.
     """
     incident: list[list[int]] = [[] for _ in range(host_n)]
     for idx, (u, v) in enumerate(host_edges):
         incident[u].append(idx)
         incident[v].append(idx)
-    at = [set(s) for s in incident]
-    memb = [frozenset((at[u] | at[v]) - {i}) for i, (u, v) in enumerate(host_edges)]
-    return Graph(len(memb), memb, sum(map(len, memb)) // 2)
+    nbrs: list = []
+    for i, (u, v) in enumerate(host_edges):
+        merged = sorted(incident[u] + incident[v])
+        k = bisect_left(merged, i)
+        del merged[k : k + 2]
+        nbrs.append(tuple(merged))
+    return Graph(len(nbrs), nbrs, sum(map(len, nbrs)) // 2)
 
 
 def _center_degree(size: int) -> int:
@@ -185,30 +191,36 @@ def _gen_line_graph_cover3(spec: GenSpec, rng: SplitMix64) -> tuple[Graph, Certi
 
 def _gen_complement_triangle_free(spec: GenSpec, rng: SplitMix64) -> tuple[Graph, Certificate]:
     """Each node is adjacent to the rest of its part, and a cross pair is
-    an edge iff its draw reaches the density: one draw per cross pair, in
-    lexicographic order.  The cross pairs that miss it are the base."""
+    an edge iff its draw reaches the density: one batch of draws, one per
+    cross pair, consumed in lexicographic pair order.  The cross pairs that
+    miss it are the base."""
     n = max(1, spec.size)
     part = rng.below_many(2, n)
     density = rng.randint(25, 75)
-    ids = list(range(n))  # one int object per node id, shared by every set
+    ids = list(range(n))  # one int object per node id, shared by every tuple
     sides: list[list[int]] = [[], []]
     for v in ids:
         sides[part[v]].append(v)
-    nbrs = [set(sides[p]) for p in part]
+    draws = iter(rng.below_many(100, len(sides[0]) * len(sides[1])))
+    # nbrs[u] first collects u's cross neighbours, in ascending order: the
+    # earlier ones while their own nodes are scanned, then the later ones.
+    nbrs: list = [[] for _ in ids]
     for u in ids:
-        nbrs[u].discard(u)
         other = sides[1 - part[u]]
+        # ``later`` comes first, so zip stops without taking a draw past it.
         later = other[bisect_right(other, u) :]
-        draws = rng.below_many(100, len(later))
         kept = [v for v, x in zip(later, draws) if x >= density]
-        nbrs[u].update(kept)
+        nbrs[u] += kept
         for v in kept:
-            nbrs[v].add(u)
-    memb = [frozenset(s) for s in nbrs]
+            nbrs[v].append(u)
+    for u in ids:
+        own = sides[part[u]]
+        k = bisect_left(own, u)
+        nbrs[u] = tuple(sorted(own[:k] + own[k + 1 :] + nbrs[u]))
     cert = Certificate(
         kind=spec.kind, alpha_bound=2, exact=False, detail={"part": part}
     )
-    return Graph(n, memb, sum(map(len, memb)) // 2), cert
+    return Graph(n, nbrs, sum(map(len, nbrs)) // 2), cert
 
 
 def _gen_cycle(spec: GenSpec, rng: SplitMix64) -> tuple[Graph, Certificate]:

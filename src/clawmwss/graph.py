@@ -4,19 +4,20 @@ The solvers in this package are analysed by the number of adjacency queries
 they make, so every pairwise adjacency decision on a solve path is charged
 to a per-context counter: one by one through :meth:`Graph.adjacent`, or by
 a batch primitive, which charges exactly the pairs it decides.  Direct
-structure access (neighbor sets and lists) is free and intentionally not
+structure access (the neighbor tuples and sets) is free and intentionally not
 counted; it is only used where the algorithm genuinely reads stored data
 rather than asking "is u adjacent to v?".  A graph keeps
-one adjacency store, a frozenset of neighbors per node; sorted neighbor
-lists are derived from it on demand.  The store takes
-O(n + m) words: the sets share one int object per node id, and each is a
-presized copy, with 2 to 4 hash-table slots per member.  The parser streams
-its edges into :func:`build_graph`; the generators build the sets with set
-operations and hand them to :class:`Graph`, keeping both properties.
+one adjacency store, an ascending tuple of neighbor ids per node, and
+answers a query by bisection in O(log d) time for a node of degree d.  The
+store takes one 8-byte word per arc plus a 40-byte tuple header per node:
+the tuples share one int object per node id.  The parser streams its edges
+into :func:`build_graph`; the generators build the tuples directly and hand
+them to :class:`Graph`, keeping both properties.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 NodeWeights = Sequence[int]
@@ -45,19 +46,20 @@ class QueryCounter:
 class Graph:
     """Immutable simple graph on nodes 0..n-1.
 
-    One frozenset of neighbors per node is the only adjacency store; it
-    gives the oracle constant expected time per query, and :meth:`neighbors`
-    sorts it on demand.  The query counter belongs to a solve context:
+    One ascending tuple of neighbor ids per node is the only adjacency
+    store, at 8 bytes per arc; the oracle bisects it in O(log d) time,
+    :meth:`neighbors` returns it as is and :meth:`neighbor_set` builds a
+    frozenset of it on demand.  The query counter belongs to a solve context:
     concurrent solves over the same structure should each use their own view
     obtained via :meth:`with_counter`.
     """
 
-    __slots__ = ("n", "m", "_memb", "counter")
+    __slots__ = ("n", "m", "_nbrs", "counter")
 
-    def __init__(self, n: int, memb: list[frozenset[int]], m: int):
+    def __init__(self, n: int, nbrs: list[tuple[int, ...]], m: int):
         self.n = n
         self.m = m
-        self._memb = memb
+        self._nbrs = nbrs
         self.counter = QueryCounter()
 
     def adjacent(self, u: int, v: int) -> bool:
@@ -65,19 +67,22 @@ class Graph:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise IndexError(f"node id out of range: ({u}, {v})")
         self.counter.count += 1
-        return v in self._memb[u]
+        nbrs = self._nbrs[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        """Sorted neighbor list of v (structure access, not counted)."""
-        return tuple(sorted(self._memb[v]))
+        """Ascending neighbor ids of v: the store itself (not counted)."""
+        return self._nbrs[v]
 
     def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._memb[v]
+        """Neighbor ids of v as a set, built on each call (not counted)."""
+        return frozenset(self._nbrs[v])
 
     def with_counter(self) -> "Graph":
         """Shallow view sharing structure but owning a fresh query counter
         at 0."""
-        return Graph(self.n, self._memb, self.m)
+        return Graph(self.n, self._nbrs, self.m)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -89,8 +94,9 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     Duplicate edges (in either orientation) are collapsed; self-loops and
     out-of-range ids are rejected.  The edges are read once and never held:
     each end is appended to a per-node list as one of n shared int objects,
-    and each list is then replaced by a presized frozenset, so the finished
-    store holds n ints however many edges were streamed.
+    and each list is then replaced by the ascending tuple of its distinct
+    members, so the finished store holds n ints however many edges were
+    streamed.
     """
     if n < 0:
         raise ValueError(f"negative node count: {n}")
@@ -103,11 +109,9 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         nbrs[u].append(ids[v])
         nbrs[v].append(ids[u])
-    # A copy of a set is sized once, to 2 to 4 table slots per member;
-    # frozenset(list) grows in fourfold steps and can end near 7.
-    # Replacing in place frees each list as soon as its set exists.
+    # Replacing in place frees each list as soon as its tuple exists.
     for v, s in enumerate(nbrs):
-        nbrs[v] = frozenset(set(s))
+        nbrs[v] = tuple(sorted(set(s)))
     return Graph(n, nbrs, sum(map(len, nbrs)) // 2)
 
 
@@ -117,13 +121,13 @@ def is_clique_or_witness(g: Graph, nodes: Sequence[int]) -> tuple[int, int] | No
 
     Costs O(k^2) adjacency queries for k nodes.  Empty and singleton sets
     are cliques vacuously.  Row u, the pairs of u with the nodes after it,
-    is decided by one superset test and charged its length; a row that
+    is decided by one set difference and charged its length; a row that
     fails is scanned pair by pair, which charges the pairs up to the first
     non-neighbour, exactly as a scan alone would.
     """
     for i, u in enumerate(nodes):
         row = nodes[i + 1 :]
-        if 0 <= u < g.n and g._memb[u].issuperset(row):
+        if 0 <= u < g.n and not set(row).difference(g._nbrs[u]):
             g.counter.count += len(row)
             continue
         for v in row:
@@ -195,7 +199,7 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
     edges = (
         (u, idmap[w])
         for u, old in enumerate(kept)
-        for w in g.neighbor_set(old)
+        for w in g.neighbors(old)
         if old < w and w in idmap
     )
     return build_graph(len(kept), edges), idmap

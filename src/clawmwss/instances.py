@@ -194,7 +194,7 @@ def dump_instance(
             out.write(f"n {v + 1} {w}\n")
     names = [str(v + 1) for v in range(g.n)]
     for u, name in enumerate(names):
-        nbrs = sorted(g.neighbor_set(u))
+        nbrs = g.neighbors(u)
         above = nbrs[bisect_right(nbrs, u) :]
         if above:
             sep = f"\ne {name} "

@@ -18,7 +18,7 @@ def adjacency_masks(g: Graph) -> list[int]:
     masks = []
     for u in range(g.n):
         bits = 0
-        for v in g.neighbor_set(u):
+        for v in g.neighbors(u):
             bits |= 1 << v
         masks.append(bits)
     return masks

@@ -7,12 +7,14 @@ structural input of the stable-set constructions.
 
 ``find_claw`` is the full claw-freeness check behind ``solve --validate`` and
 ``check``: O(sum deg^2) adjacency queries, exactly sum C(deg, 2) over nodes of
-degree >= 3 on a claw-free graph, with the witness fixed by scan order (center
-ascending, leaf pair in neighbor order, smallest third leaf).
+degree >= 3 on a claw-free graph, charged per center and decided on a snapshot
+of neighbor sets, with the witness fixed by scan order (center ascending, leaf
+pair in neighbor order, smallest third leaf).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -97,28 +99,38 @@ def classify(g: Graph, nodes: Iterable[int], anchors: Iterable[int]) -> Classifi
 def find_claw(g: Graph) -> Claw | None:
     """Find an induced claw, or None if the graph is claw-free.
 
-    For each center c of degree d >= 3, asks ``g.adjacent`` once for each of
-    the C(d, 2) neighbor pairs and keeps the answers as one non-neighbor
-    bitmask per neighbor, indexed by position in ``g.neighbors(c)``.  For a
-    non-adjacent pair (i, j) the third leaf is then the lowest set bit of
-    ``non[i] & non[j]``.  A claw-free graph costs exactly sum C(d, 2)
-    queries over centers of degree >= 3, i.e. O(sum deg^2); this is a
+    For each center c of degree d >= 3, charges ``g.counter`` the C(d, 2)
+    neighbor pairs up front and decides each pair by membership in a
+    snapshot of neighbor sets taken at the start, keeping the answers as one
+    non-neighbor bitmask per neighbor, indexed by position in
+    ``g.neighbors(c)``.  For a non-adjacent pair (i, j) the third leaf is
+    then the lowest set bit of ``non[i] & non[j]``.  A claw-free graph costs
+    exactly sum C(d, 2) queries over centers of degree >= 3, as many as
+    asking each pair through ``g.adjacent``, i.e. O(sum deg^2); this is a
     validation routine, not part of the solve path.
 
     The witness is the first claw in scan order: center ascending, then leaf
     pairs (i < j) in neighbor order, then the smallest third leaf.
     """
-    adjacent = g.adjacent
+    # Presized set copies, as the solve's bisecting oracle would pay O(log d)
+    # on each of the sum C(d, 2) pairs.  A pair is tested from its lower id,
+    # so each node keeps only its neighbors above it: half the copies' size.
+    above = []
+    for v in range(g.n):
+        nbrs = g.neighbors(v)
+        above.append(frozenset(set(nbrs[bisect_right(nbrs, v) :])))
+    counter = g.counter
     for center in range(g.n):
         nbrs = g.neighbors(center)
         d = len(nbrs)
         if d < 3:
             continue
+        counter.count += d * (d - 1) // 2
         non = [0] * d
         for i in range(d - 1):
-            x = nbrs[i]
+            near = above[nbrs[i]]
             for j in range(i + 1, d):
-                if not adjacent(x, nbrs[j]):
+                if nbrs[j] not in near:
                     non[i] |= 1 << j
                     non[j] |= 1 << i
         for i in range(d):

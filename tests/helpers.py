@@ -7,6 +7,7 @@ import sys
 
 from clawmwss import Graph, build_graph, generate, write_instance
 from clawmwss.gen import GenSpec, SplitMix64, sample_spec
+from clawmwss.structure import Claw
 
 
 def cycle(n: int) -> Graph:
@@ -63,13 +64,19 @@ def complement_triangle_free_by_pairs(spec: GenSpec) -> tuple[Graph, list[int], 
 
 
 def assert_right_sized_store(g: Graph) -> None:
-    """The ``graph`` module's store invariants: each neighbor set is as
-    large as a presized copy of it, and the sets share at most n int
-    objects."""
+    """The ``graph`` module's store invariants: each node's neighbors are a
+    strictly ascending tuple without the node itself, the store is
+    symmetric, each tuple is a bare header plus one 8-byte word per member,
+    and the tuples share at most n int objects."""
+    empty = sys.getsizeof(())
     for v in range(g.n):
-        nbrs = g.neighbor_set(v)
-        assert sys.getsizeof(nbrs) == sys.getsizeof(frozenset(set(nbrs)))
-    assert len({id(u) for v in range(g.n) for u in g.neighbor_set(v)}) <= g.n
+        nbrs = g.neighbors(v)
+        assert type(nbrs) is tuple
+        assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
+        assert v not in nbrs
+        assert all(v in g.neighbors(u) for u in nbrs)
+        assert sys.getsizeof(nbrs) == empty + 8 * len(nbrs)
+    assert len({id(u) for v in range(g.n) for u in g.neighbors(v)}) <= g.n
 
 
 def random_clawfree(rng: SplitMix64, max_n: int, negative_weights: bool = False):
@@ -137,6 +144,35 @@ def clique_witness_by_pairs(g: Graph, nodes) -> tuple[int, int] | None:
         for v in nodes[i + 1 :]:
             if not g.adjacent(u, v):
                 return (u, v)
+    return None
+
+
+def find_claw_by_pairs(g: Graph) -> Claw | None:
+    """Reference for ``structure.find_claw``: each center's C(d, 2) neighbor
+    pairs asked one by one through the counted oracle, then the first claw
+    in the same scan order (center ascending, leaf pair in neighbor order,
+    smallest third leaf)."""
+    for center in range(g.n):
+        nbrs = g.neighbors(center)
+        d = len(nbrs)
+        if d < 3:
+            continue
+        non = [0] * d
+        for i in range(d - 1):
+            for j in range(i + 1, d):
+                if not g.adjacent(nbrs[i], nbrs[j]):
+                    non[i] |= 1 << j
+                    non[j] |= 1 << i
+        for i in range(d):
+            later = non[i] >> (i + 1) << (i + 1)
+            while later:
+                low = later & -later
+                j = low.bit_length() - 1
+                common = non[i] & non[j]
+                if common:
+                    k = (common & -common).bit_length() - 1
+                    return Claw(center, tuple(sorted((nbrs[i], nbrs[j], nbrs[k]))))
+                later ^= low
     return None
 
 

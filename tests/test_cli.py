@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -386,8 +387,14 @@ def test_bench_records_and_csv(tmp_path, capsys):
         for r in doc["records"]
     ]
     assert json_rows == lines[1:]
-    times = ("gen_ns", "write_ns", "parse_ns")
+    times = ("gen_ns", "write_ns", "parse_ns", "validate_ns")
     assert all(r[k] > 0 for r in doc["records"] for k in times)
+    # The claw check asks every neighbour pair of each centre of degree >= 3
+    # once, and the store is one tuple header per node plus 8 bytes per arc.
+    for r, (g, _) in zip(doc["records"], bench_instances([64, 256], seed=1)):
+        degrees = [len(g.neighbors(v)) for v in range(g.n)]
+        assert r["validate_queries"] == sum(comb(d, 2) for d in degrees if d >= 3) > 0
+        assert r["store_bytes"] == sys.getsizeof(()) * r["n"] + 16 * r["m"]
 
 
 @pytest.mark.parametrize("missing", ["--out", "--json"])

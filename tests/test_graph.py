@@ -6,7 +6,14 @@ from clawmwss.graph import induced_subgraph, is_clique_or_witness, is_null_to
 from clawmwss.instances import write_instance
 from clawmwss.structure import classify
 
-from helpers import clique_witness_by_pairs, complete, cycle, edge_set, random_graph
+from helpers import (
+    assert_right_sized_store,
+    clique_witness_by_pairs,
+    complete,
+    cycle,
+    edge_set,
+    random_graph,
+)
 
 
 def test_build_path_graph():
@@ -58,6 +65,7 @@ def test_derived_views_match_the_distinct_edge_list():
             nbrs = g.neighbor_set(v)
             assert nbrs == {b if a == v else a for a, b in distinct if v in (a, b)}
             assert g.neighbors(v) == tuple(sorted(nbrs))
+        assert_right_sized_store(g)
 
 
 def test_build_rejects_self_loop():
@@ -162,6 +170,7 @@ def test_induced_subgraph_full_and_empty():
     nothing, idmap = induced_subgraph(c7, [])
     assert (nothing.n, nothing.m) == (0, 0)
     assert idmap == {}
+    assert_right_sized_store(whole)
 
 
 def test_induced_subgraph_c7_prefix_is_path():
@@ -169,6 +178,19 @@ def test_induced_subgraph_c7_prefix_is_path():
     assert (sub.n, sub.m) == (3, 2)
     assert sorted(idmap) == [0, 1, 2]
     assert [len(sub.neighbor_set(v)) for v in range(3)] == [1, 2, 1]
+    assert_right_sized_store(sub)
+
+
+def test_induced_subgraphs_of_random_graphs_keep_the_store_invariants():
+    rng = SplitMix64(501)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 30), rng.randint(0, 100))
+        keep = [v for v in range(g.n) if rng.below(3)]
+        sub, idmap = induced_subgraph(g, keep)
+        assert edge_set(sub) == {
+            (idmap[u], idmap[v]) for u, v in edge_set(g) if u in idmap and v in idmap
+        }
+        assert_right_sized_store(sub)
 
 
 def test_clique_and_null_verdicts_match_exhaustive_scan():

@@ -160,6 +160,9 @@ def test_parse_holds_no_edge_list_and_a_right_sized_store(tmp_path):
     # The reader's 1 KiB batches measure about 1 byte per edge; 64 KiB
     # batches would measure about 27.
     assert (peak - retained) / g.m < 8
+    # One 8-byte word per arc, plus per-node headers and the weights: about
+    # 9 bytes per arc.  Presized frozensets measured about 40.
+    assert retained / (2 * g.m) <= 12
     assert_right_sized_store(g)
 
 

@@ -193,6 +193,7 @@ def test_generator_outputs_are_certified_claw_free():
         lo, hi = (spec.weight_lo, spec.weight_hi)
         assert all(lo <= w <= hi for w in weights)
         verify_certificate(g, cert)  # includes oracle recheck at this size
+        assert_right_sized_store(g)
         assert brute_is_clawfree(g) is None
         alpha = brute_alpha_min4(g)
         if cert.exact:

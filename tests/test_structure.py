@@ -13,7 +13,15 @@ from clawmwss.gen import GenSpec, SplitMix64
 from clawmwss.oracles import brute_is_clawfree
 from clawmwss.structure import classify
 
-from helpers import complete, cycle, random_clawfree, random_graph, star
+from helpers import (
+    complete,
+    cycle,
+    edge_set,
+    find_claw_by_pairs,
+    random_clawfree,
+    random_graph,
+    star,
+)
 
 
 def test_find_claw_on_star():
@@ -73,6 +81,37 @@ def test_find_claw_asks_each_neighbor_pair_once():
     view = g.with_counter()
     assert find_claw(view) is None
     assert view.counter.count == sum(comb(d, 2) for d in degrees if d >= 3)
+
+
+def _same_claw_and_count(g):
+    ours, ref = g.with_counter(), g.with_counter()
+    claw = find_claw(ours)
+    assert (claw, ours.counter.count) == (find_claw_by_pairs(ref), ref.counter.count)
+    return claw
+
+
+def test_find_claw_equals_the_per_pair_reference_on_random_graphs():
+    rng = SplitMix64(305)
+    claws = sum(
+        _same_claw_and_count(random_graph(rng, rng.randint(3, 18), rng.randint(5, 95)))
+        is not None
+        for _ in range(5000)
+    )
+    assert 1000 < claws < 4000
+
+
+def test_find_claw_equals_the_per_pair_reference_on_toggled_instances():
+    rng = SplitMix64(306)
+    claws = 0
+    for _ in range(3000):
+        g, _, _ = random_clawfree(rng, 30)
+        edges = edge_set(g)
+        for _ in range(rng.randint(1, 4)):
+            u = rng.below(g.n)
+            v = (u + 1 + rng.below(g.n - 1)) % g.n
+            edges ^= {(min(u, v), max(u, v))}
+        claws += _same_claw_and_count(build_graph(g.n, edges)) is not None
+    assert 300 < claws < 2700
 
 
 def test_classify_c7_triple():
