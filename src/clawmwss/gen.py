@@ -134,7 +134,7 @@ def line_graph(host_n: int, host_edges: Sequence[tuple[int, int]]) -> Graph:
         k = bisect_left(merged, i)
         del merged[k : k + 2]
         nbrs.append(tuple(merged))
-    return Graph(len(nbrs), nbrs, sum(map(len, nbrs)) // 2)
+    return Graph(nbrs)
 
 
 def _center_degree(size: int) -> int:
@@ -220,7 +220,7 @@ def _gen_complement_triangle_free(spec: GenSpec, rng: SplitMix64) -> tuple[Graph
     cert = Certificate(
         kind=spec.kind, alpha_bound=2, exact=False, detail={"part": part}
     )
-    return Graph(n, nbrs, sum(map(len, nbrs)) // 2), cert
+    return Graph(nbrs), cert
 
 
 def _gen_cycle(spec: GenSpec, rng: SplitMix64) -> tuple[Graph, Certificate]:

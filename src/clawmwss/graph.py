@@ -48,17 +48,17 @@ class Graph:
 
     One ascending tuple of neighbor ids per node is the only adjacency
     store, at 8 bytes per arc; the oracle bisects it in O(log d) time,
-    :meth:`neighbors` returns it as is and :meth:`neighbor_set` builds a
-    frozenset of it on demand.  The query counter belongs to a solve context:
-    concurrent solves over the same structure should each use their own view
-    obtained via :meth:`with_counter`.
+    :meth:`neighbors` returns it as is, :meth:`neighbor_set` builds a
+    frozenset of it on demand, and ``n`` and ``m`` are read off it.  The
+    query counter belongs to a solve context: concurrent solves over the
+    same structure should each use their own view from :meth:`with_counter`.
     """
 
     __slots__ = ("n", "m", "_nbrs", "counter")
 
-    def __init__(self, n: int, nbrs: list[tuple[int, ...]], m: int):
-        self.n = n
-        self.m = m
+    def __init__(self, nbrs: list[tuple[int, ...]]):
+        self.n = len(nbrs)
+        self.m = sum(map(len, nbrs)) // 2
         self._nbrs = nbrs
         self.counter = QueryCounter()
 
@@ -82,7 +82,7 @@ class Graph:
     def with_counter(self) -> "Graph":
         """Shallow view sharing structure but owning a fresh query counter
         at 0."""
-        return Graph(self.n, self._nbrs, self.m)
+        return Graph(self._nbrs)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -112,7 +112,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     # Replacing in place frees each list as soon as its tuple exists.
     for v, s in enumerate(nbrs):
         nbrs[v] = tuple(sorted(set(s)))
-    return Graph(n, nbrs, sum(map(len, nbrs)) // 2)
+    return Graph(nbrs)
 
 
 def is_clique_or_witness(g: Graph, nodes: Sequence[int]) -> tuple[int, int] | None:
@@ -187,6 +187,7 @@ def is_null_to(g: Graph, a: Sequence[int], b: Sequence[int]) -> tuple[int, int] 
     return None
 
 
+# Only tests call this; it stays here because perfbench traces it here by name.
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph induced by the distinct nodes of ``keep``, plus the old-id ->
     new-id map.

@@ -2,7 +2,8 @@
 
 These deliberately avoid the counted adjacency oracle and the solver code
 paths; they work on plain adjacency bitmasks so that agreement between
-solver and oracle is meaningful evidence.
+solver and oracle is meaningful evidence.  Like the solver, ``brute_mwss``
+ignores negative nodes, so it answers whenever the rest have alpha <= 3.
 """
 
 from __future__ import annotations
@@ -35,12 +36,11 @@ def is_stable_set(g: Graph, nodes: Sequence[int]) -> bool:
     return True
 
 
-def brute_alpha_min4(g: Graph) -> int:
-    """min(alpha(G), 4) by exhaustive subset scan; practical for n <= 80."""
-    n = g.n
+def _alpha_min4(adj: list[int]) -> int:
+    """min(alpha, 4) of the graph whose node v has neighbor bitmask adj[v]."""
+    n = len(adj)
     if n == 0:
         return 0
-    adj = adjacency_masks(g)
     all_above = [( (1 << n) - 1 ) & ~((1 << (v + 1)) - 1) for v in range(n)]
     best = 1
     for x in range(n):
@@ -61,6 +61,11 @@ def brute_alpha_min4(g: Graph) -> int:
                 if candidates & all_above[z] & ~adj[z]:
                     return 4
     return best
+
+
+def brute_alpha_min4(g: Graph) -> int:
+    """min(alpha(G), 4) by exhaustive subset scan; practical for n <= 80."""
+    return _alpha_min4(adjacency_masks(g))
 
 
 def brute_is_clawfree(g: Graph) -> Claw | None:
@@ -89,16 +94,20 @@ def _better(cand: tuple[int, tuple[int, ...]], best: tuple[int, tuple[int, ...]]
 
 
 def brute_mwss(g: Graph, weights: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Exact maximum-weight stable set of a graph with alpha(G) <= 3,
-    admitting the empty set (weight 0).
+    """Exact maximum-weight stable set, admitting the empty set (weight 0),
+    when the non-negative nodes have alpha <= 3.
 
-    Scans every stable set of size <= 3; raises ValueError when alpha(G) >= 4.
+    A negative node never joins an optimum, so each one is treated as
+    adjacent to every node.  Scans every stable set of size <= 3 of what is
+    left; raises ValueError when the non-negative nodes hold a stable 4-set.
     Ties go to the lexicographically smallest node tuple.
     """
-    if brute_alpha_min4(g) >= 4:
-        raise ValueError("brute_mwss needs alpha <= 3")
     n = g.n
-    adj = adjacency_masks(g)
+    negative = sum(1 << v for v in range(n) if weights[v] < 0)
+    every = (1 << n) - 1
+    adj = [every if weights[v] < 0 else a | negative for v, a in enumerate(adjacency_masks(g))]
+    if _alpha_min4(adj) >= 4:
+        raise ValueError("brute_mwss needs alpha <= 3 on the non-negative nodes")
     best: tuple[int, tuple[int, ...]] = (0, ())
     for v in range(n):
         cand = (weights[v], (v,))

@@ -192,17 +192,14 @@ def mwss_intersecting(g: Graph, weights: Sequence[int], cls: Classification) -> 
     containing v (other anchors stay in the pool: sets with two or three
     anchors surface in several iterations, which is harmless).  The pool is
     read from the classification, which already asked every anchor
-    adjacency: the other two anchors, their exclusive sets, their shared set
-    and the detached nodes.  T is not rechecked: ``stable_set_min_alpha4``
-    builds it stable and asserts so.
+    adjacency: the other two anchors, their exclusive sets and their shared
+    set.  T is not rechecked: ``stable_set_min_alpha4`` builds it stable and
+    asserts so.
     """
     best = _Best()
     for v in cls.anchors:
         b, c = (a for a in cls.anchors if a != v)
-        pool = sorted(
-            (b, c, *cls.exclusive_to(b), *cls.exclusive_to(c), *cls.shared_by(b, c))
-            + cls.detached
-        )
+        pool = sorted((b, c, *cls.exclusive_to(b), *cls.exclusive_to(c), *cls.shared_by(b, c)))
         best.offer((v,), weights[v])
         sub = mwss_small(g, weights, pool)
         if sub is not None:
@@ -324,8 +321,7 @@ def mwss_alpha3(g: Graph, weights: Sequence[int]) -> SolveOutcome:
 
     best = _Best()
     best.offer((), 0)
-    if report.exact_alpha >= 1:
-        best.add(mwss_small(g, weights, keep))
+    best.add(mwss_small(g, weights, keep))
     if report.exact_alpha == 3:
         cls = report.classification
         assert not cls.detached, "alpha = 3 leaves no detached nodes"

@@ -323,31 +323,44 @@ def test_verify_harness_detects_injected_fault(tmp_path, capsys, monkeypatch):
     read_instance(dumped)  # the dump itself is a valid instance file
 
 
+# Each case names a graph and its weights: C7 (alpha 3) and C9 (alpha 4)
+# with unit weights, and C8 (alpha 4) whose two negative nodes leave alpha 3
+# on the rest, so that its answer is OPTIMAL weight=3, not ALPHA_GE_4.
+CASES = {
+    3: (7, [1] * 7),
+    4: (9, [1] * 9),
+    "c8": (8, [-1, -1, 1, 1, 1, 1, 1, 1]),
+}
+
+
 @pytest.mark.parametrize(
-    "alpha, report, outcome, reason",
+    "case, report, outcome, reason",
     [
         (3, (0, 2), None, "cardinality report size 2, oracle alpha 3"),
         (3, (0, 1, 3), None, "cardinality report is not stable"),
         (3, None, AlphaAtLeast4((0, 2, 4, 6)),
-         "solver claims alpha >= 4 but oracle alpha is 3"),
-        (4, None, AlphaAtLeast4((0, 1, 3, 5)), "witness (0, 1, 3, 5) is not a stable 4-set"),
-        (4, None, AlphaAtLeast4((0, 2, 4)), "witness (0, 2, 4) is not a stable 4-set"),
+         "witness (0, 2, 4, 6) is not a stable 4-set of non-negative nodes"),
+        (4, None, AlphaAtLeast4((0, 1, 3, 5)),
+         "witness (0, 1, 3, 5) is not a stable 4-set of non-negative nodes"),
+        (4, None, AlphaAtLeast4((0, 2, 4)),
+         "witness (0, 2, 4) is not a stable 4-set of non-negative nodes"),
         (3, None, None, "unexpected outcome type NoneType"),
         (3, None, Optimal((0, 1), 2), "optimal set (0, 1) is not stable"),
         (3, None, Optimal((0, 2), 3), "reported weight does not match the reported set"),
         (4, None, Optimal((0,), 1),
-         "solver returned Optimal but nonnegative subgraph has alpha >= 4"),
+         "solver returned Optimal but nonnegative nodes have alpha >= 4"),
         (3, None, Optimal((0,), 1), "optimal weight 1, oracle weight 3"),
+        ("c8", None, AlphaAtLeast4((0, 2, 4, 6)),
+         "witness (0, 2, 4, 6) is not a stable 4-set of non-negative nodes"),
     ],
 )
-def test_check_one_names_each_fault(monkeypatch, alpha, report, outcome, reason):
-    # C7 has alpha 3 and C9 alpha 4, both with unit weights.  A report,
-    # when given, replaces the cardinality phase's; the solver returns
-    # ``outcome`` whatever it is asked.
-    g = cycle(7 if alpha == 3 else 9)
+def test_check_one_names_each_fault(monkeypatch, case, report, outcome, reason):
+    # A report, when given, replaces the cardinality phase's; the solver
+    # returns ``outcome`` whatever it is asked.
+    n, weights = CASES[case]
     if report is not None:
         monkeypatch.setattr(cli, "stable_set_min_alpha4", lambda g: StableSetReport(report))
-    assert cli._check_one(g, [1] * g.n, lambda g, weights: outcome) == reason
+    assert cli._check_one(cycle(n), weights, lambda g, weights: outcome) == reason
 
 
 def test_verify_unwritable_dump_reports_error(tmp_path, capsys, monkeypatch):
@@ -411,7 +424,10 @@ def test_bench_unwritable_output_reports_error(tmp_path, capsys, missing):
 
 
 def test_render_csv_exact_format():
-    rec = BenchRecord(instance="x", n=3, m=2, queries=10, ns=1234, ratio=1.5)
+    rec = BenchRecord(
+        instance="x", n=3, m=2, queries=10, ns=1234, ratio=1.5, write_ns=1,
+        parse_ns=2, gen_ns=3, validate_ns=4, validate_queries=5, store_bytes=6,
+    )
     assert render_csv([rec]) == (
         "instance,n,m,queries,ns,ratio\nx,3,2,10,1234,1.500000\n"
     )

@@ -11,7 +11,7 @@ from clawmwss.gen import (
     sample_spec,
     verify_certificate,
 )
-from clawmwss.graph import NODE_LIMIT, WEIGHT_LIMIT
+from clawmwss.graph import NODE_LIMIT, WEIGHT_LIMIT, induced_subgraph
 from clawmwss.oracles import (
     brute_alpha_min4,
     brute_is_clawfree,
@@ -99,22 +99,30 @@ def test_brute_mwss_rejects_large_alpha_big_n():
 
 
 def test_brute_mwss_size_scan_equals_full_enumeration():
-    # For alpha <= 3 instances this pits the size-limited scan against the
-    # independent all-subsets enumeration; both must agree exactly.  Every
-    # other draw must be refused.
+    # Whenever the non-negative nodes have alpha <= 3, decided on the
+    # subgraph they induce, this pits the size-limited scan against the
+    # independent all-subsets enumeration of the whole graph; both must
+    # agree exactly.  Every other draw must be refused.
     rng = SplitMix64(70)
     small_alpha = 0
     for _ in range(300):
         n = rng.randint(1, 16)
         g = random_graph(rng, n, rng.randint(20, 95))
         weights = [rng.randint(-8, 12) for _ in range(n)]
-        if brute_alpha_min4(g) <= 3:
+        sub, _ = induced_subgraph(g, [v for v in range(n) if weights[v] >= 0])
+        if brute_alpha_min4(sub) <= 3:
             small_alpha += 1
             assert brute_mwss(g, weights) == brute_mwss_full(g, weights)
         else:
             with pytest.raises(ValueError, match="alpha <= 3"):
                 brute_mwss(g, weights)
     assert small_alpha > 100
+    # C8 and C9 have alpha 4.  Two adjacent negative nodes leave P6 of C8,
+    # alpha 3, which now gets an answer; one leaves P8 of C9, alpha 4 still.
+    weights = [-1, -1] + [1] * 6
+    assert brute_mwss(cycle(8), weights) == brute_mwss_full(cycle(8), weights) == ((2, 4, 6), 3)
+    with pytest.raises(ValueError, match="alpha <= 3"):
+        brute_mwss(cycle(9), [-1] + [1] * 8)
 
 
 def test_brute_clawfree_examples():
