@@ -90,15 +90,15 @@ def four_sets_stable(
 ) -> tuple[int, int, int, int] | None:
     """Stable 4-set with one node from each of X, Y, Z, W.
 
-    Additional preconditions over the triple case: X null to Y, W null to
-    the clique Z, W non-empty; ``extend_to_four`` proves them before the
-    call.  For each candidate w the sets X, Y shrink to w's non-neighbors,
-    and minimizing clique coverage within the restricted sets decides
+    Additional preconditions over the triple case: X null to Y and W null
+    to the clique Z; ``extend_to_four`` proves them before the call.  For
+    each candidate w the sets X, Y shrink to w's non-neighbors, and
+    minimizing clique coverage within the restricted sets decides
     extendability; as in ``three_sets_stable`` the coverage counts are mask
     popcounts and ``first_free`` names the gap node.  Masks are built only
     for the members of some w's restricted sets.
     """
-    if not xs or not ys or not zs or not ws:
+    if not xs or not ys or not zs:
         return None
     clique = OrderedCliquePrefix.build(g, zs)
     p = len(zs)
@@ -120,54 +120,54 @@ def four_sets_stable(
     return None
 
 
+def _grow(g: Graph, cls: Classification) -> tuple[int, ...] | None:
+    """A stable set one node larger than ``cls.anchors``, from the first
+    rule that gives one: a detached node joins the anchors, or else the
+    first non-adjacent pair inside an exclusive set, in anchor order,
+    replaces its anchor.  None when neither rule applies."""
+    if cls.detached:
+        return tuple(sorted((*cls.anchors, cls.detached[0])))
+    for v in cls.anchors:
+        witness = is_clique_or_witness(g, cls.exclusive_to(v))
+        if witness is not None:
+            return tuple(sorted((*witness, *(a for a in cls.anchors if a != v))))
+    return None
+
+
 def extend_to_three(
     g: Graph, nodes: Sequence[int], pair: tuple[int, int]
 ) -> tuple[int, int, int] | None:
     """Grow a stable pair to a stable triple of the subgraph induced by
     ``nodes``, or None when its alpha is 2.
 
-    Check order is fixed for determinism: a detached node joins the pair
-    directly; a non-adjacent pair inside either exclusive set replaces its
-    anchor; otherwise a triple must take one node from each classification
-    set and the three-set search decides.
+    Check order is fixed for determinism: after ``_grow``'s detached-node
+    and exclusive-set rules, a triple must take one node from each
+    classification set and the three-set search decides.
     """
     cls = classify(g, nodes, pair)
+    grown = _grow(g, cls)
+    if grown is not None:
+        return grown
     s, t = cls.anchors
-    if cls.detached:
-        return tuple(sorted((s, t, cls.detached[0])))
-    f_s = cls.exclusive_to(s)
-    f_t = cls.exclusive_to(t)
-    witness = is_clique_or_witness(g, f_s)
-    if witness is not None:
-        return tuple(sorted((witness[0], witness[1], t)))
-    witness = is_clique_or_witness(g, f_t)
-    if witness is not None:
-        return tuple(sorted((witness[0], witness[1], s)))
-    triple = three_sets_stable(g, cls.shared_by(s, t), f_s, f_t)
-    if triple is not None:
-        return tuple(sorted(triple))
-    return None
+    triple = three_sets_stable(g, cls.shared_by(s, t), cls.exclusive_to(s), cls.exclusive_to(t))
+    return None if triple is None else tuple(sorted(triple))
 
 
 def extend_to_four(g: Graph, cls: Classification) -> tuple[int, int, int, int] | None:
     """Grow the stable triple ``cls.anchors``, classified by ``cls``, to a
     stable 4-set, or None when alpha(G) = 3.
 
-    After the detached-node and exclusive-set clique checks, a 4-set (if any)
+    After ``_grow``'s detached-node and exclusive-set rules, a 4-set (if any)
     alternates with the anchors along a path that contains either two anchors
     (5 nodes) or all three (7 nodes); both shapes reduce to the set searches.
     The 7-node search needs W null to Z and X null to Y, which only
     claw-freeness guarantees; both are checked, and a crossing edge raises
     ClawWitnessError.
     """
+    grown = _grow(g, cls)
+    if grown is not None:
+        return grown
     s, t, u = cls.anchors
-    if cls.detached:
-        return tuple(sorted((s, t, u, cls.detached[0])))
-    for v in (s, t, u):
-        witness = is_clique_or_witness(g, cls.exclusive_to(v))
-        if witness is not None:
-            rest = [a for a in (s, t, u) if a != v]
-            return tuple(sorted((witness[0], witness[1], *rest)))
     # Path with two anchors a, b: (x, a, y, b, z).
     for a, b in ((s, t), (s, u), (t, u)):
         triple = three_sets_stable(

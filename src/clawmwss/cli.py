@@ -143,42 +143,27 @@ class VerifyFailure:
     index: int
     spec: GenSpec
     reason: str
-    instance_text: str
 
 
-@dataclass
-class VerifySummary:
-    total: int
-    passed: int
-    failures: list[VerifyFailure]
-
-
-def verify_instances(
-    count: int,
-    seed: int,
-    max_n: int,
-    solver: Callable[..., SolveOutcome] | None = None,
-) -> VerifySummary:
-    """Generate instances and compare solver results against the oracles.
+def verify_instances(count: int, seed: int, max_n: int) -> list[VerifyFailure]:
+    """Generate instances, compare solver results against the oracles, and
+    return the failures.
 
     Checks, per instance: the cardinality report size equals min(alpha, 4)
     and is stable; an alpha >= 4 outcome carries a stable 4-set; an optimal
     outcome is stable, self-consistent, and matches the brute-force optimum
-    exactly.  The solver is injectable so the harness can be self-tested
-    against a deliberately broken implementation.
+    exactly.  The solver is the module's ``mwss_alpha3``, looked up on each
+    call, so a test can swap in a deliberately broken one.
     """
-    solve = solver if solver is not None else mwss_alpha3
     rng = SplitMix64(seed)
     failures: list[VerifyFailure] = []
     for index in range(count):
         spec = sample_spec(rng, max_n, negative_weights=bool(rng.below(2)))
         g, weights, _ = generate(spec)
-        reason = _check_one(g, weights, solve)
+        reason = _check_one(g, weights, mwss_alpha3)
         if reason is not None:
-            failures.append(
-                VerifyFailure(index, spec, reason, write_instance(g, weights))
-            )
-    return VerifySummary(count, count - len(failures), failures)
+            failures.append(VerifyFailure(index, spec, reason))
+    return failures
 
 
 def _check_one(g: Graph, weights: list[int], solve: Callable[..., SolveOutcome]) -> str | None:
@@ -213,15 +198,16 @@ def _check_one(g: Graph, weights: list[int], solve: Callable[..., SolveOutcome])
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.count < 0 or not 3 <= args.max_n <= VERIFY_MAX_N:
         return _error(f"verify needs --count >= 0 and 3 <= --max-n <= {VERIFY_MAX_N}")
-    summary = verify_instances(args.count, args.seed, args.max_n)
+    failures = verify_instances(args.count, args.seed, args.max_n)
     print(
-        f"VERIFY total={summary.total} pass={summary.passed} "
-        f"fail={len(summary.failures)}"
+        f"VERIFY total={args.count} pass={args.count - len(failures)} "
+        f"fail={len(failures)}"
     )
-    if summary.failures:
-        first = summary.failures[0]
-        header = f"c verify failure #{first.index}: {first.reason}\n"
-        if _save(args.dump, lambda fh: fh.write(header + first.instance_text)):
+    if failures:
+        first = failures[0]
+        g, weights, _ = generate(first.spec)
+        comment = f"verify failure #{first.index}: {first.reason}"
+        if _save(args.dump, lambda fh: dump_instance(g, weights, fh, [comment])):
             print(f"first failure dumped to {args.dump}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return EXIT_OK

@@ -18,7 +18,7 @@ specs produce bit-identical instances on every platform.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, isqrt
 from typing import Iterator, Sequence
 
@@ -99,7 +99,7 @@ class Certificate:
     kind: str
     alpha_bound: int
     exact: bool
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
     def comment_lines(self) -> Iterator[str]:
         """Yield the certificate's comment lines one at a time, so that a
@@ -156,29 +156,21 @@ def _gen_line_graph_cover3(spec: GenSpec, rng: SplitMix64) -> tuple[Graph, Certi
     centers = [0, 1, 2]
     private = [3, 4, 5]
     host_n = 6 + pool
-    host_edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-
-    def add(u: int, v: int) -> None:
-        key = (u, v) if u < v else (v, u)
-        if u != v and key not in seen:
-            seen.add(key)
-            host_edges.append(key)
-
-    for c, leaf in zip(centers, private):
-        add(c, leaf)  # host edges 0, 1, 2: a matching of size 3
+    # Every pair is drawn once, lower end first: the centers 0-2 lie below
+    # every leaf, and center pairs come with i < j.
+    host_edges = list(zip(centers, private))  # host edges 0, 1, 2: a matching of size 3
     for c in centers:
         chosen: set[int] = set()
         while len(chosen) < extra:
             leaf = 6 + rng.below(pool)
             if leaf not in chosen:
                 chosen.add(leaf)
-                add(c, leaf)
+                host_edges.append((c, leaf))
     if extra:
         for i in range(3):
             for j in range(i + 1, 3):
                 if rng.below(2):
-                    add(centers[i], centers[j])
+                    host_edges.append((centers[i], centers[j]))
 
     cert = Certificate(
         kind=spec.kind,

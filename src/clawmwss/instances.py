@@ -58,19 +58,15 @@ def _edge_batch(batch: list[str], n: int, room: int) -> list[int] | None:
     batch.
 
     A line holds no ``\\n`` but the one that ends it, so when the text of
-    k lines starts with ``e`` and holds k - 1 ``\\ne`` and k ``e``, each
-    line starts with its only ``e``.  With 3k tokens and ``e`` at every
-    third place, each line is then ``e`` and two more tokens."""
+    k lines starts with ``e`` and holds k - 1 ``\\ne``, each line starts
+    with ``e``.  With 3k tokens, every third one ``e``, and the rest ints,
+    which hold no ``e``, the k line-first tokens fill the k ``e`` places, so
+    each line is ``e`` and two ints."""
     k = len(batch)
     if k > room:
         return None
     text = "".join(batch)
-    if not (
-        text.isascii()
-        and text.startswith("e")
-        and text.count("\ne") == k - 1
-        and text.count("e") == k
-    ):
+    if not (text.isascii() and text.startswith("e") and text.count("\ne") == k - 1):
         return None
     tokens = text.split()
     if len(tokens) != 3 * k or tokens[0::3].count("e") != k:

@@ -8,8 +8,8 @@ structural input of the stable-set constructions.
 ``find_claw`` is the full claw-freeness check behind ``solve --validate`` and
 ``check``: O(sum deg^2) adjacency queries, exactly sum C(deg, 2) over nodes of
 degree >= 3 on a claw-free graph, charged per center and decided on a snapshot
-of neighbor sets, with the witness fixed by scan order (center ascending, leaf
-pair in neighbor order, smallest third leaf).
+of neighbor sets, with the witness fixed by scan order (center ascending, then
+the lexicographically smallest leaf triple), where the scan stops.
 """
 
 from __future__ import annotations
@@ -101,16 +101,16 @@ def find_claw(g: Graph) -> Claw | None:
 
     For each center c of degree d >= 3, charges ``g.counter`` the C(d, 2)
     neighbor pairs up front and decides each pair by membership in a
-    snapshot of neighbor sets taken at the start, keeping the answers as one
-    non-neighbor bitmask per neighbor, indexed by position in
-    ``g.neighbors(c)``.  For a non-adjacent pair (i, j) the third leaf is
-    then the lowest set bit of ``non[i] & non[j]``.  A claw-free graph costs
-    exactly sum C(d, 2) queries over centers of degree >= 3, as many as
-    asking each pair through ``g.adjacent``, i.e. O(sum deg^2); this is a
-    validation routine, not part of the solve path.
+    snapshot of neighbor sets taken at the start.  Row i, built the first
+    time the scan needs it, is the bitmask of the positions j > i in
+    ``g.neighbors(c)`` not adjacent to position i; for a non-adjacent pair
+    (i, j) the third leaf is then the lowest set bit of ``row i & row j``.
+    A claw-free graph costs exactly sum C(d, 2) queries over centers of
+    degree >= 3, as many as asking each pair through ``g.adjacent``, i.e.
+    O(sum deg^2); this is a validation routine, not part of the solve path.
 
-    The witness is the first claw in scan order: center ascending, then leaf
-    pairs (i < j) in neighbor order, then the smallest third leaf.
+    The witness is the first claw in scan order, center ascending, then
+    the lexicographically smallest leaf triple, and the scan stops there.
     """
     # Presized set copies, as the solve's bisecting oracle would pay O(log d)
     # on each of the sum C(d, 2) pairs.  A pair is tested from its lower id,
@@ -126,21 +126,30 @@ def find_claw(g: Graph) -> Claw | None:
         if d < 3:
             continue
         counter.count += d * (d - 1) // 2
-        non = [0] * d
-        for i in range(d - 1):
+        rows: list[int | None] = [None] * d
+
+        def row(i: int) -> int:
+            bits = 0
             near = above[nbrs[i]]
             for j in range(i + 1, d):
                 if nbrs[j] not in near:
-                    non[i] |= 1 << j
-                    non[j] |= 1 << i
-        for i in range(d):
-            later = non[i] >> (i + 1) << (i + 1)
+                    bits |= 1 << j
+            rows[i] = bits
+            return bits
+
+        for i in range(d - 2):
+            later = rows[i]
+            if later is None:
+                later = row(i)
             while later:
                 low = later & -later
                 j = low.bit_length() - 1
-                common = non[i] & non[j]
+                common = rows[j]
+                if common is None:
+                    common = row(j)
+                common &= later
                 if common:
                     k = (common & -common).bit_length() - 1
-                    return Claw(center, tuple(sorted((nbrs[i], nbrs[j], nbrs[k]))))
+                    return Claw(center, (nbrs[i], nbrs[j], nbrs[k]))
                 later ^= low
     return None

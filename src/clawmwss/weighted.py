@@ -201,9 +201,8 @@ def mwss_intersecting(g: Graph, weights: Sequence[int], cls: Classification) -> 
         b, c = (a for a in cls.anchors if a != v)
         pool = sorted((b, c, *cls.exclusive_to(b), *cls.exclusive_to(c), *cls.shared_by(b, c)))
         best.offer((v,), weights[v])
-        sub = mwss_small(g, weights, pool)
-        if sub is not None:
-            best.add(((v,) + sub[0], weights[v] + sub[1]))
+        sub = mwss_small(g, weights, pool)  # never None: b and c are in the pool
+        best.add(((v,) + sub[0], weights[v] + sub[1]))
     return best.result()
 
 

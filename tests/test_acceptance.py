@@ -32,12 +32,13 @@ def test_criterion_1_oracle_equivalence():
     # Weighted solver vs brute force on >= 10^4 mixed instances, n <= 60,
     # weight ranges [1,100] and [-50,50], exact equality, witnesses checked.
     started = time.perf_counter()
-    summary = verify_instances(count=10_000, seed=0xACCE97, max_n=60)
-    detail = f"{summary.total} instances, {len(summary.failures)} mismatches"
-    if summary.failures:
-        first = summary.failures[0]
+    count = 10_000
+    failures = verify_instances(count=count, seed=0xACCE97, max_n=60)
+    detail = f"{count} instances, {len(failures)} mismatches"
+    if failures:
+        first = failures[0]
         detail += f"; first: #{first.index} {first.reason}"
-    _verdict("1 oracle-equivalence", not summary.failures, detail, started)
+    _verdict("1 oracle-equivalence", not failures, detail, started)
 
 
 def test_criterion_2_cardinality_correctness():

@@ -304,13 +304,11 @@ def test_verify_harness_detects_injected_fault(tmp_path, capsys, monkeypatch):
     def broken(g, weights):
         return Optimal(nodes=(), weight=10**9, dropped_negative=0)
 
-    summary = verify_instances(25, seed=2, max_n=20, solver=broken)
-    assert len(summary.failures) == 25
-    assert summary.passed == 0
-
-    # Through the CLI: the default solver resolves from the module, so the
-    # fault injection also exercises the dump path.
+    # The harness looks the solver up in the module on each call.
     monkeypatch.setattr(cli, "mwss_alpha3", broken)
+    assert len(verify_instances(25, seed=2, max_n=20)) == 25
+
+    # Through the CLI, which dumps the first failure.
     dump = tmp_path / "dump.txt"
     rc = main(["verify", "--count", "3", "--seed", "2", "--max-n", "20",
                "--dump", str(dump)])
@@ -408,6 +406,16 @@ def test_bench_records_and_csv(tmp_path, capsys):
         degrees = [len(g.neighbors(v)) for v in range(g.n)]
         assert r["validate_queries"] == sum(comb(d, 2) for d in degrees if d >= 3) > 0
         assert r["store_bytes"] == sys.getsizeof(()) * r["n"] + 16 * r["m"]
+
+
+def test_bench_without_json_writes_only_the_csv(tmp_path, capsys):
+    # Catches dropping the ``args.json_out and`` operand: the JSON write
+    # would then open a file named None.
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--sizes", "64", "--seed", "1", "--out", str(out)]) == 0
+    assert out.read_text(encoding="ascii").startswith("instance,n,m,queries,ns,ratio\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["bench.csv"]
+    assert capsys.readouterr().out.startswith("RATIO min=")
 
 
 @pytest.mark.parametrize("missing", ["--out", "--json"])

@@ -83,6 +83,14 @@ def test_build_rejects_out_of_range():
         build_graph(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("edge", [(3, 0), (-1, 0)])
+def test_build_rejects_a_first_end_out_of_range(edge):
+    # Catches dropping either bound on u: (3, 0) would index past the store
+    # (an IndexError), and (-1, 0) would land in node 2's list unnoticed.
+    with pytest.raises(ValueError, match="out of range"):
+        build_graph(3, [edge])
+
+
 def test_adjacent_on_cycle_and_complete():
     c7 = cycle(7)
     assert c7.adjacent(0, 1)

@@ -121,6 +121,13 @@ def test_write_rejects_short_weight_vector():
         write_instance(g, [1, 1])
 
 
+def test_an_empty_comment_is_written_as_a_bare_c_line():
+    # Catches writing every comment as ``c <comment>``, which would leave a
+    # trailing blank after an empty one.
+    g, _ = read_instance("p edge 2 1\ne 1 2\n")
+    assert write_instance(g, [1, 1], comments=["", "x"]) == "c\nc x\np edge 2 1\ne 1 2\n"
+
+
 def test_duplicate_edge_lines_collapse_but_count_against_header():
     g, _ = read_instance("p edge 3 3\ne 1 2\ne 2 1\ne 2 3\n")
     assert g.m == 2

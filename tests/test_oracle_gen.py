@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+import clawmwss.gen as gen
 from clawmwss import build_graph, generate, read_instance, write_instance
 from clawmwss.gen import (
     EDGE_LIMIT,
@@ -342,6 +343,44 @@ def test_verify_certificate_rejects_each_corruption(reason):
     g, cert = change(g, cert)
     with pytest.raises(ValueError, match=reason):
         verify_certificate(g, cert)
+
+
+def test_verify_certificate_rejects_disjoint_edges_sharing_their_second_end():
+    # Catches dropping the ``hv in ends`` operand: the two edges' first ends
+    # differ, so only their second ends meet.
+    g, _, cert = generate(GenSpec("line_graph_cover3", size=60, seed=3))
+    hedges = cert.detail["host_edges"]
+    a, b = next(
+        (a, b) for a in range(g.n) for b in range(a + 1, g.n) if hedges[a][1] == hedges[b][1]
+    )
+    assert hedges[a][0] != hedges[b][0]
+    with pytest.raises(ValueError, match="claimed disjoint host edges share an endpoint"):
+        verify_certificate(g, _with_detail(cert, disjoint=[a, b]))
+
+
+def test_verify_cycle_certificate_rejects_a_chord():
+    # Catches dropping the ``g.m != n`` operand: the chord would then fail
+    # the per-node check with another message.
+    g, _, cert = generate(GenSpec("cycle", size=7, seed=3))
+    chorded = build_graph(7, [*((i, (i + 1) % 7) for i in range(7)), (0, 3)])
+    with pytest.raises(ValueError, match="cycle certificate size mismatch"):
+        verify_certificate(chorded, cert)
+
+
+def test_verify_certificate_checks_only_the_structure_above_80_nodes(monkeypatch):
+    # Catches dropping or inverting the ``g.n <= 80`` guard, which would call
+    # the alpha oracle here, and a mutant that leaves the structural check
+    # to small graphs, which would let the tampered certificate through.
+    g, _, cert = generate(GenSpec("line_graph_cover3", size=1500, seed=3))
+    assert g.n > 80
+
+    def refuse(g):
+        raise AssertionError("the alpha oracle ran above 80 nodes")
+
+    monkeypatch.setattr(gen, "brute_alpha_min4", refuse)
+    verify_certificate(g, cert)
+    with pytest.raises(ValueError, match="claimed disjoint host edges share an endpoint"):
+        verify_certificate(g, _with_detail(cert, disjoint=[0, 3]))
 
 
 def test_cycle_certificates_are_exact():

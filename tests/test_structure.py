@@ -1,3 +1,4 @@
+import time
 from math import comb
 
 import pytest
@@ -39,6 +40,16 @@ def test_find_claw_none_on_cycle_and_clique():
 def test_find_claw_is_deterministic():
     g = star(5)
     assert find_claw(g) == find_claw(g)
+
+
+def test_find_claw_stops_at_the_first_claw_of_a_wide_star():
+    # The scan must stop at the first claw and build only the rows it
+    # reaches: all rows of this centre together take about d^3/64 word
+    # operations.
+    g = star(1 << 13)
+    started = time.perf_counter()
+    assert find_claw(g) == Claw(0, (1, 2, 3))
+    assert time.perf_counter() - started < 1.0
 
 
 def _first_claw(g):
