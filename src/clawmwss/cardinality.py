@@ -135,16 +135,23 @@ def _grow(g: Graph, cls: Classification) -> tuple[int, ...] | None:
 
 
 def extend_to_three(
-    g: Graph, nodes: Sequence[int], pair: tuple[int, int]
+    g: Graph,
+    nodes: Sequence[int],
+    pair: tuple[int, int],
+    cls: Classification | None = None,
 ) -> tuple[int, int, int] | None:
     """Grow a stable pair to a stable triple of the subgraph induced by
     ``nodes``, or None when its alpha is 2.
 
+    ``cls`` is the pair's partition when the caller keeps it, built here
+    otherwise; ``_grow`` reads no node after the first detached one, so
+    ``classify`` stops there and asks at most 2 queries per node it reaches.
     Check order is fixed for determinism: after ``_grow``'s detached-node
     and exclusive-set rules, a triple must take one node from each
     classification set and the three-set search decides.
     """
-    cls = classify(g, nodes, pair)
+    if cls is None:
+        cls = classify(g, nodes, pair, stop_at_detached=True)
     grown = _grow(g, cls)
     if grown is not None:
         return grown
@@ -202,8 +209,14 @@ def stable_set_min_alpha4(g: Graph, nodes: Sequence[int] | None = None) -> Stabl
     induced by ``nodes``, given in ascending ids (None: all of g).
 
     The search asks only adjacencies among ``nodes`` and builds no graph.
-    Claw-freeness is assumed and only incidentally detected (as
-    ClawWitnessError); ``structure.find_claw`` checks it up front.
+    Its two ``classify`` passes ask each (node, anchor) adjacency at most
+    once: the pair's pass stops at its first detached node, and the
+    triple's pass reads the pair's answers for the anchors the two share.
+    So a node costs at most 3 anchor queries over both passes when the
+    triple adds that detached node to the pair, and 4 or 5 when the triple
+    keeps one pair anchor or none.  Claw-freeness is assumed and only
+    incidentally detected (as ClawWitnessError); ``structure.find_claw``
+    checks it up front.
     """
     if nodes is None:
         nodes = range(g.n)
@@ -212,11 +225,12 @@ def stable_set_min_alpha4(g: Graph, nodes: Sequence[int] | None = None) -> Stabl
     pair = stable_pair(g, nodes)
     if pair is None:
         return StableSetReport((nodes[0],))
-    triple = extend_to_three(g, nodes, pair)
+    known = classify(g, nodes, pair, stop_at_detached=True)
+    triple = extend_to_three(g, nodes, pair, known)
     if triple is None:
         report = StableSetReport(tuple(sorted(pair)))
     else:
-        cls = classify(g, nodes, triple)
+        cls = classify(g, nodes, triple, known=known)
         quad = extend_to_four(g, cls)
         report = StableSetReport(triple, cls) if quad is None else StableSetReport(quad)
     assert is_stable_set(g, report.nodes), "internal error: result not stable"

@@ -32,7 +32,7 @@ from .instances import dump_instance, read_instance, write_instance
 from .oracles import brute_alpha_min4, brute_mwss, is_stable_set
 from .cardinality import stable_set_min_alpha4
 from .structure import Claw, find_claw
-from .weighted import AlphaAtLeast4, Optimal, SolveOutcome, mwss_alpha3
+from .weighted import AlphaAtLeast4, Optimal, mwss_alpha3
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -160,13 +160,13 @@ def verify_instances(count: int, seed: int, max_n: int) -> list[VerifyFailure]:
     for index in range(count):
         spec = sample_spec(rng, max_n, negative_weights=bool(rng.below(2)))
         g, weights, _ = generate(spec)
-        reason = _check_one(g, weights, mwss_alpha3)
+        reason = _check_one(g, weights)
         if reason is not None:
             failures.append(VerifyFailure(index, spec, reason))
     return failures
 
 
-def _check_one(g: Graph, weights: list[int], solve: Callable[..., SolveOutcome]) -> str | None:
+def _check_one(g: Graph, weights: list[int]) -> str | None:
     alpha = brute_alpha_min4(g)
     report = stable_set_min_alpha4(g.with_counter())
     if len(report.nodes) != alpha:
@@ -174,7 +174,7 @@ def _check_one(g: Graph, weights: list[int], solve: Callable[..., SolveOutcome])
     if not is_stable_set(g, report.nodes):
         return "cardinality report is not stable"
 
-    outcome = solve(g.with_counter(), weights)
+    outcome = mwss_alpha3(g.with_counter(), weights)
     if isinstance(outcome, AlphaAtLeast4):
         w = outcome.witness
         if len(set(w)) != 4 or not is_stable_set(g, w) or min(weights[v] for v in w) < 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ClawWitnessError
 from .graph import Graph
@@ -52,7 +52,14 @@ class Classification:
         return self.shared[(u, v) if u < v else (v, u)]
 
 
-def classify(g: Graph, nodes: Iterable[int], anchors: Iterable[int]) -> Classification:
+def classify(
+    g: Graph,
+    nodes: Iterable[int],
+    anchors: Iterable[int],
+    *,
+    known: Classification | None = None,
+    stop_at_detached: bool = False,
+) -> Classification:
     """Classify ``nodes`` minus T by adjacency to each anchor of the stable
     set T, which lies inside ``nodes``.
 
@@ -62,6 +69,12 @@ def classify(g: Graph, nodes: Iterable[int], anchors: Iterable[int]) -> Classifi
     set stable (``stable_set_min_alpha4`` asserts its result).  For |T| = 3
     raises ClawWitnessError if some node is adjacent to all three anchors
     (that node is the center of a claw whose leaves are T).
+
+    ``known`` is an earlier partition of the same ``nodes``, in the same
+    order: a node's adjacency to an anchor of both partitions is read from
+    it when it covers that node, so a node costs a query only per anchor it
+    cannot answer.  With ``stop_at_detached`` the pass returns at its first
+    detached node, and the partition covers only the nodes up to it.
     """
     t = tuple(sorted(anchors))
     t_members = set(t)
@@ -75,12 +88,35 @@ def classify(g: Graph, nodes: Iterable[int], anchors: Iterable[int]) -> Classifi
         pair: [] for pair in combinations(t, 2)
     }
     detached: list[int] = []
+    # Each part of ``known`` keeps node order, as this pass does, so the
+    # parts are read in step with it: ``heads`` maps the next unread node
+    # of each part to the part's anchor hits and its unread rest.
+    heads: dict[int, tuple[tuple[int, ...], Iterator[int]]] = {}
+    reused = set() if known is None else t_members.intersection(known.anchors)
+    if reused:
+        for hits, part in (
+            *(((v,), part) for v, part in known.exclusive.items()),
+            *known.shared.items(),
+            ((), known.detached),
+        ):
+            _advance(heads, hits, iter(part))
     for x in nodes:
+        entry = heads.pop(x, None) if heads else None
+        if entry is not None:
+            _advance(heads, *entry)
         if x in t_members:
             continue
-        hits = tuple(a for a in t if g.adjacent(x, a))
+        if entry is None:
+            hits = tuple(a for a in t if g.adjacent(x, a))
+        else:
+            seen = entry[0]
+            hits = tuple(
+                a for a in t if (a in seen if a in reused else g.adjacent(x, a))
+            )
         if len(hits) == 0:
             detached.append(x)
+            if stop_at_detached:
+                break
         elif len(hits) == 1:
             exclusive[hits[0]].append(x)
         elif len(hits) == 2:
@@ -94,6 +130,17 @@ def classify(g: Graph, nodes: Iterable[int], anchors: Iterable[int]) -> Classifi
         shared={pair: tuple(nodes) for pair, nodes in shared.items()},
         detached=tuple(detached),
     )
+
+
+def _advance(
+    heads: dict[int, tuple[tuple[int, ...], Iterator[int]]],
+    hits: tuple[int, ...],
+    rest: Iterator[int],
+) -> None:
+    """File the part ``rest`` under its next node in ``heads``, if it has one."""
+    head = next(rest, None)
+    if head is not None:
+        heads[head] = (hits, rest)
 
 
 def find_claw(g: Graph) -> Claw | None:

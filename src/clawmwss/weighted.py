@@ -302,7 +302,8 @@ def mwss_alpha3(g: Graph, weights: Sequence[int]) -> SolveOutcome:
     """Solve the maximum-weight stable set problem when alpha(G) <= 3.
 
     Negative-weight nodes never help, so both phases search the subgraph
-    induced by the non-negative nodes in place: the cardinality phase
+    induced by the non-negative nodes in place (all of ``range(g.n)`` when
+    no weight is negative): the cardinality phase
     either certifies alpha >= 4 there with a witness or pins alpha, and the
     weighted phase takes the best candidate over: stable sets meeting a
     maximum stable triple, the three disjoint-triple shapes, all small
@@ -313,7 +314,10 @@ def mwss_alpha3(g: Graph, weights: Sequence[int]) -> SolveOutcome:
     per node, each of magnitude at most 2^61.
     """
     check_weights(g, weights)
-    keep = [v for v in range(g.n) if weights[v] >= 0]
+    if min(weights, default=0) >= 0:
+        keep: Sequence[int] = range(g.n)
+    else:
+        keep = [v for v in range(g.n) if weights[v] >= 0]
     report = stable_set_min_alpha4(g, keep)
     if report.alpha_at_least_4:
         return AlphaAtLeast4(report.nodes)

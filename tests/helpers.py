@@ -5,9 +5,10 @@ from __future__ import annotations
 import itertools
 import sys
 
-from clawmwss import Graph, build_graph, generate, write_instance
+from clawmwss import Graph, StableSetReport, build_graph, generate, write_instance
+from clawmwss.cardinality import extend_to_four, extend_to_three, stable_pair
 from clawmwss.gen import GenSpec, SplitMix64, sample_spec
-from clawmwss.structure import Claw
+from clawmwss.structure import Claw, classify
 
 
 def cycle(n: int) -> Graph:
@@ -104,6 +105,23 @@ def brute_mwss_full(g: Graph, weights) -> tuple[tuple[int, ...], int]:
 
     extend((), 0, list(range(g.n)))
     return best[1], best[0]
+
+
+def min_alpha4_by_full_passes(g: Graph, nodes) -> StableSetReport:
+    """``stable_set_min_alpha4`` with two full ``classify`` passes that share
+    no answer: the pair's partition covers every node, and the triple's asks
+    all three anchors of every node."""
+    if not nodes:
+        return StableSetReport(())
+    pair = stable_pair(g, nodes)
+    if pair is None:
+        return StableSetReport((nodes[0],))
+    triple = extend_to_three(g, nodes, pair, classify(g, nodes, pair))
+    if triple is None:
+        return StableSetReport(tuple(sorted(pair)))
+    cls = classify(g, nodes, triple)
+    quad = extend_to_four(g, cls)
+    return StableSetReport(triple, cls) if quad is None else StableSetReport(quad)
 
 
 def bench_instances(sizes, seed: int) -> list[tuple[Graph, list[int]]]:

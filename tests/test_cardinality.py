@@ -2,9 +2,12 @@ import itertools
 
 import pytest
 
+import clawmwss.cardinality as cardinality
 from clawmwss import (
     ClawWitnessError,
+    Graph,
     build_graph,
+    generate,
     stable_set_min_alpha4,
 )
 from clawmwss.cardinality import (
@@ -14,11 +17,17 @@ from clawmwss.cardinality import (
     stable_pair,
     three_sets_stable,
 )
-from clawmwss.gen import SplitMix64
+from clawmwss.gen import SplitMix64, sample_spec
 from clawmwss.oracles import brute_alpha_min4, is_stable_set
 from clawmwss.structure import classify
 
-from helpers import complete, cycle, random_clawfree
+from helpers import (
+    complete,
+    cycle,
+    min_alpha4_by_full_passes,
+    random_clawfree,
+    random_graph,
+)
 
 
 def test_stable_pair_examples():
@@ -312,3 +321,72 @@ def test_classify_takes_plain_iterables_and_rejects_duplicate_anchors():
     assert classify(g, range(g.n), (v for v in (4, 0, 2))).exclusive_to(0) == (6,)
     with pytest.raises(ValueError, match="duplicate anchor"):
         classify(g, range(g.n), [0, 2, 2])
+
+
+class _AskedGraph(Graph):
+    """A graph that logs the adjacency queries asked while ``log`` is a list."""
+
+    __slots__ = ("log",)
+
+    def adjacent(self, u: int, v: int) -> bool:
+        if self.log is not None:
+            self.log.append((u, v))
+        return super().adjacent(u, v)
+
+
+def _outcome(solve, g, nodes):
+    try:
+        report = solve(g, nodes)
+    except ClawWitnessError as claw:
+        return ("claw", claw.center, claw.leaves)
+    return (report.nodes, report.classification)
+
+
+def _differential_inputs():
+    """Seeded random 4-16-node graphs, claw graphs included, with all their
+    nodes; then sample_spec instances with their non-negative nodes, as
+    ``mwss_alpha3`` searches them."""
+    rng = SplitMix64(48)
+    for _ in range(4000):
+        g = random_graph(rng, 4 + rng.below(13), 10 + rng.below(80))
+        yield g, range(g.n)
+    for _ in range(600):
+        g, weights, _ = generate(sample_spec(rng, 40, negative_weights=bool(rng.below(2))))
+        yield g, [v for v in range(g.n) if weights[v] >= 0]
+
+
+def test_min_alpha4_reuses_each_anchor_answer_and_matches_two_full_passes(monkeypatch):
+    passes = []
+
+    def logged_classify(g, nodes, anchors, **kwargs):
+        g.log = []
+        try:
+            cls = classify(g, nodes, anchors, **kwargs)
+        finally:
+            passes.append((tuple(sorted(anchors)), g.log))
+            g.log = None
+        if len(cls.anchors) == 2:
+            assert len(cls.detached) <= 1, "the pair's pass ran past its first detached node"
+        return cls
+
+    monkeypatch.setattr(cardinality, "classify", logged_classify)
+    claws = grown_by_detached = 0
+    for plain, nodes in _differential_inputs():
+        expected = _outcome(min_alpha4_by_full_passes, plain, nodes)
+        g = _AskedGraph([plain.neighbors(v) for v in range(plain.n)])
+        g.log = None
+        passes.clear()
+        assert _outcome(stable_set_min_alpha4, g, nodes) == expected
+        claws += expected[0] == "claw"
+        asked = [q for _, log in passes for q in log]
+        assert len(set(asked)) == len(asked), "an anchor adjacency was asked twice"
+        anchors = {a for t, _ in passes for a in t}
+        assert all(a in anchors for _, a in asked)
+        # One query per node and anchor of either pass: 3 per node when the
+        # triple adds a detached node to the pair, 4 or 5 when it keeps one
+        # anchor of the pair or none.
+        assert len(asked) <= len(anchors) * len(nodes)
+        if len(passes) == 2 and set(passes[0][0]) < set(passes[1][0]):
+            assert len(asked) <= 3 * len(nodes)
+            grown_by_detached += 1
+    assert claws > 1000 and grown_by_detached > 2000

@@ -77,6 +77,18 @@ def test_solve_star_detects_claw_even_without_validate(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("NOT_CLAW_FREE ")
 
 
+def test_solve_reports_a_claw_centre_past_a_detached_node(tmp_path, capsys):
+    # The pair (0, 1) grows by its detached node 2.  Against the triple
+    # (0, 1, 2), node 3 is detached and node 4, later in node order, is
+    # adjacent to all three anchors.  The triple's classification scans every
+    # node, so it reports that claw before any stable 4-set {0, 1, 2, 3}.
+    g = build_graph(5, [(0, 4), (1, 4), (2, 4)])
+    path = _instance_file(tmp_path, "claw.txt", g, [1] * 5)
+    rc = main(["solve", "--input", path])
+    assert rc == 3
+    assert capsys.readouterr().out == "NOT_CLAW_FREE center=5 leaves=1,2,3\n"
+
+
 def test_solve_missing_file(tmp_path, capsys):
     rc = main(["solve", "--input", str(tmp_path / "nope.txt")])
     assert rc == 1
@@ -358,7 +370,8 @@ def test_check_one_names_each_fault(monkeypatch, case, report, outcome, reason):
     n, weights = CASES[case]
     if report is not None:
         monkeypatch.setattr(cli, "stable_set_min_alpha4", lambda g: StableSetReport(report))
-    assert cli._check_one(cycle(n), weights, lambda g, weights: outcome) == reason
+    monkeypatch.setattr(cli, "mwss_alpha3", lambda g, weights: outcome)
+    assert cli._check_one(cycle(n), weights) == reason
 
 
 def test_verify_unwritable_dump_reports_error(tmp_path, capsys, monkeypatch):
@@ -452,10 +465,10 @@ def test_bench_query_counts_are_pinned():
     # Exact counts of ``bench --seed 0`` at 2^10 and 2^12, and of the same
     # instances with one node dropped for a negative weight.  A change that
     # moves them edits this pin and says why.
-    assert [r.queries for r in run_bench([1024, 4096], seed=0)] == [1917, 5589]
+    assert [r.queries for r in run_bench([1024, 4096], seed=0)] == [1761, 5279]
     negative = []
     for g, weights in bench_instances([1024, 4096], seed=0):
         view = g.with_counter()
         mwss_alpha3(view, with_lightest_negative(weights))
         negative.append(view.counter.count)
-    assert negative == [2153, 5527]
+    assert negative == [1999, 5219]

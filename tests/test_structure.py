@@ -145,6 +145,18 @@ def test_classify_pair():
     assert list(cls.detached) == [4, 5]
 
 
+def test_classify_stops_at_detached_and_reads_known_answers():
+    g = cycle(7)
+    pair = classify(g, range(7), (0, 2), stop_at_detached=True)
+    assert (pair.shared_by(0, 2), pair.exclusive_to(2), pair.detached) == ((1,), (3,), (4,))
+    assert pair.exclusive_to(0) == ()  # node 6 lies past the stop
+    assert g.counter.count == 6
+    # Nodes 1 and 3 answer for anchors 0 and 2 from ``pair`` and ask only
+    # anchor 4; nodes 5 and 6 ask all three.
+    assert classify(g, range(7), (0, 2, 4), known=pair) == classify(cycle(7), range(7), (0, 2, 4))
+    assert g.counter.count == 6 + 2 + 6
+
+
 def test_classify_reports_claw_for_universal_node():
     # Node 3 is adjacent to all three stable anchors: a claw centered there.
     g = build_graph(4, [(0, 3), (1, 3), (2, 3)])
