@@ -190,7 +190,9 @@ def extend_to_four(g: Graph, cls: Classification) -> tuple[int, int, int, int] |
         if not ws:
             continue
         xs, ys, zs = cls.exclusive_to(a), cls.shared_by(b, c), cls.exclusive_to(c)
-        crossing = is_null_to(g, ws, zs)
+        # At b = t, ws and zs are the (s, t)-shared set and u's exclusive
+        # set again, which b = s proved null to each other.
+        crossing = None if b == t else is_null_to(g, ws, zs)
         if crossing is not None:
             w, z = crossing
             raise ClawWitnessError(w, (a, b, z))
@@ -210,13 +212,15 @@ def stable_set_min_alpha4(g: Graph, nodes: Sequence[int] | None = None) -> Stabl
 
     The search asks only adjacencies among ``nodes`` and builds no graph.
     Its two ``classify`` passes ask each (node, anchor) adjacency at most
-    once: the pair's pass stops at its first detached node, and the
-    triple's pass reads the pair's answers for the anchors the two share.
-    So a node costs at most 3 anchor queries over both passes when the
-    triple adds that detached node to the pair, and 4 or 5 when the triple
-    keeps one pair anchor or none.  Claw-freeness is assumed and only
-    incidentally detected (as ClawWitnessError); ``structure.find_claw``
-    checks it up front.
+    once: both stop at their first detached node, and the triple's pass
+    reads the pair's answers for the anchors the two share.  So a node
+    costs at most 3 anchor queries over both passes when the triple adds
+    that detached node to the pair, and 4 or 5 when the triple keeps one
+    pair anchor or none; a cycle costs the same few queries at any length.
+    Claw-freeness is assumed and only incidentally detected (as
+    ClawWitnessError); the triple's pass reports the first node adjacent
+    to all three anchors before it stops, as a full pass would, and
+    ``structure.find_claw`` checks claw-freeness up front.
     """
     if nodes is None:
         nodes = range(g.n)
@@ -230,7 +234,7 @@ def stable_set_min_alpha4(g: Graph, nodes: Sequence[int] | None = None) -> Stabl
     if triple is None:
         report = StableSetReport(tuple(sorted(pair)))
     else:
-        cls = classify(g, nodes, triple, known=known)
+        cls = classify(g, nodes, triple, known=known, stop_at_detached=True)
         quad = extend_to_four(g, cls)
         report = StableSetReport(triple, cls) if quad is None else StableSetReport(quad)
     assert is_stable_set(g, report.nodes), "internal error: result not stable"

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ClawWitnessError
 from .graph import Graph
@@ -54,7 +54,7 @@ class Classification:
 
 def classify(
     g: Graph,
-    nodes: Iterable[int],
+    nodes: Sequence[int],
     anchors: Iterable[int],
     *,
     known: Classification | None = None,
@@ -74,7 +74,13 @@ def classify(
     order: a node's adjacency to an anchor of both partitions is read from
     it when it covers that node, so a node costs a query only per anchor it
     cannot answer.  With ``stop_at_detached`` the pass returns at its first
-    detached node, and the partition covers only the nodes up to it.
+    detached node, and the partition covers only the nodes up to it.  For
+    |T| = 3 it first raises the claw that the full pass would: the first
+    node of ``nodes`` adjacent to all three anchors, found in the
+    intersection of their stored neighbor tuples.  That read is uncounted,
+    like ``stable_pair``'s: it only names a claw, and on the claw-free
+    input the solvers assume it finds none.  It takes O(deg) time, plus a
+    scan of ``nodes`` when the anchors share a neighbor.
     """
     t = tuple(sorted(anchors))
     t_members = set(t)
@@ -88,6 +94,12 @@ def classify(
         pair: [] for pair in combinations(t, 2)
     }
     detached: list[int] = []
+    if stop_at_detached and len(t) == 3:
+        a, b, c = map(g.neighbors, t)
+        centers = set(a).intersection(b, c)
+        center = next((x for x in nodes if x in centers), None) if centers else None
+        if center is not None:
+            raise ClawWitnessError(center, t)
     # Each part of ``known`` keeps node order, as this pass does, so the
     # parts are read in step with it: ``heads`` maps the next unread node
     # of each part to the part's anchor hits and its unread rest.

@@ -4,10 +4,13 @@ import pytest
 
 import clawmwss.cardinality as cardinality
 from clawmwss import (
+    AlphaAtLeast4,
     ClawWitnessError,
     Graph,
     build_graph,
     generate,
+    mwss_alpha3,
+    read_instance,
     stable_set_min_alpha4,
 )
 from clawmwss.cardinality import (
@@ -390,3 +393,38 @@ def test_min_alpha4_reuses_each_anchor_answer_and_matches_two_full_passes(monkey
             assert len(asked) <= 3 * len(nodes)
             grown_by_detached += 1
     assert claws > 1000 and grown_by_detached > 2000
+
+
+def test_triple_pass_stops_at_its_first_detached_node(monkeypatch):
+    stopped = []
+
+    def checked_classify(g, nodes, anchors, **kwargs):
+        cls = classify(g, nodes, anchors, **kwargs)
+        if len(cls.anchors) == 3:
+            assert len(cls.detached) <= 1, "the triple's pass ran past its first detached node"
+            stopped.append(bool(cls.detached))
+        return cls
+
+    monkeypatch.setattr(cardinality, "classify", checked_classify)
+    for g, nodes in _differential_inputs():
+        _outcome(stable_set_min_alpha4, g, nodes)
+    assert sum(stopped) > 1000
+
+
+def test_cycle_costs_the_same_queries_at_every_length():
+    counts = set()
+    for n in range(8, 201):
+        g = cycle(n)
+        report = stable_set_min_alpha4(g)
+        assert report.alpha_at_least_4 and is_stable_set(g, report.nodes)
+        counts.add(g.counter.count)
+    assert len(counts) == 1
+
+
+def test_edgeless_header_costs_a_few_queries():
+    # The triple's pass stops at node 3 instead of asking 3 anchors of each
+    # of the 2^16 declared nodes.
+    g, weights = read_instance("p edge 65536 0\n")
+    out = mwss_alpha3(g, weights)
+    assert out == AlphaAtLeast4((0, 1, 2, 3))
+    assert g.counter.count <= 10
