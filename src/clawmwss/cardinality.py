@@ -44,11 +44,13 @@ def stable_pair(g: Graph, nodes: Sequence[int]) -> tuple[int, int] | None:
     """A non-adjacent pair of ``nodes``, or None when they form a clique.
 
     Picks the first node with a non-neighbor among ``nodes`` (read from its
-    neighbor set, uncounted) and its first non-neighbor there; for
-    ascending ``nodes`` that non-neighbor always has the larger id.
+    degree, else from its neighbor set, uncounted) and its first
+    non-neighbor there; for ascending ``nodes`` that non-neighbor always
+    has the larger id.
     """
+    others = len(nodes) - 1
     for v in nodes:
-        if len(g.neighbor_set(v).intersection(nodes)) < len(nodes) - 1:
+        if len(g.neighbors(v)) < others or len(g.neighbor_set(v).intersection(nodes)) < others:
             for u in nodes:
                 if u != v and not g.adjacent(v, u):
                     return (v, u)
@@ -134,24 +136,15 @@ def _grow(g: Graph, cls: Classification) -> tuple[int, ...] | None:
     return None
 
 
-def extend_to_three(
-    g: Graph,
-    nodes: Sequence[int],
-    pair: tuple[int, int],
-    cls: Classification | None = None,
-) -> tuple[int, int, int] | None:
-    """Grow a stable pair to a stable triple of the subgraph induced by
-    ``nodes``, or None when its alpha is 2.
+def extend_to_three(g: Graph, cls: Classification) -> tuple[int, int, int] | None:
+    """Grow the stable pair ``cls.anchors``, classified by ``cls``, to a
+    stable triple, or None when the classified nodes induce alpha 2.
 
-    ``cls`` is the pair's partition when the caller keeps it, built here
-    otherwise; ``_grow`` reads no node after the first detached one, so
-    ``classify`` stops there and asks at most 2 queries per node it reaches.
-    Check order is fixed for determinism: after ``_grow``'s detached-node
-    and exclusive-set rules, a triple must take one node from each
-    classification set and the three-set search decides.
+    ``_grow`` reads no node after the first detached one, so ``cls`` may
+    stop there.  Check order is fixed for determinism: after ``_grow``'s
+    detached-node and exclusive-set rules, a triple must take one node from
+    each classification set and the three-set search decides.
     """
-    if cls is None:
-        cls = classify(g, nodes, pair, stop_at_detached=True)
     grown = _grow(g, cls)
     if grown is not None:
         return grown
@@ -213,13 +206,13 @@ def stable_set_min_alpha4(g: Graph, nodes: Sequence[int] | None = None) -> Stabl
     The search asks only adjacencies among ``nodes`` and builds no graph.
     Its two ``classify`` passes ask each (node, anchor) adjacency at most
     once: both stop at their first detached node, and the triple's pass
-    reads the pair's answers for the anchors the two share.  So a node
-    costs at most 3 anchor queries over both passes when the triple adds
-    that detached node to the pair, and 4 or 5 when the triple keeps one
-    pair anchor or none; a cycle costs the same few queries at any length.
-    Claw-freeness is assumed and only incidentally detected (as
-    ClawWitnessError); the triple's pass reports the first node adjacent
-    to all three anchors before it stops, as a full pass would, and
+    reads the pair's answers by position for the anchors the two share.
+    So a node costs at most 3 anchor queries over both passes when the
+    triple adds that detached node to the pair, and 4 or 5 when the triple
+    keeps one pair anchor or none; a cycle costs the same few queries at
+    any length.  Claw-freeness is assumed and only incidentally detected
+    (as ClawWitnessError); the triple's pass reports the first node
+    adjacent to all three anchors before it asks anything, and
     ``structure.find_claw`` checks claw-freeness up front.
     """
     if nodes is None:
@@ -230,7 +223,7 @@ def stable_set_min_alpha4(g: Graph, nodes: Sequence[int] | None = None) -> Stabl
     if pair is None:
         return StableSetReport((nodes[0],))
     known = classify(g, nodes, pair, stop_at_detached=True)
-    triple = extend_to_three(g, nodes, pair, known)
+    triple = extend_to_three(g, known)
     if triple is None:
         report = StableSetReport(tuple(sorted(pair)))
     else:

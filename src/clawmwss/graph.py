@@ -7,16 +7,16 @@ a batch primitive, which charges exactly the pairs it decides.  Direct
 structure access (the neighbor tuples and sets) is free and intentionally not
 counted; it is only used where the algorithm genuinely reads stored data
 rather than asking "is u adjacent to v?".  The solve path has two such
-reads: ``cardinality.stable_pair`` counts a node's neighbors among the
-searched nodes to pick the first node with a non-neighbor, and
-``structure.classify`` intersects three anchors' tuples to name a claw
-center before its early stop.  A graph keeps
-one adjacency store, an ascending tuple of neighbor ids per node, and
-answers a query by bisection in O(log d) time for a node of degree d.  The
-store takes one 8-byte word per arc plus a 40-byte tuple header per node:
-the tuples share one int object per node id.  The parser streams its edges
-into :func:`build_graph`; the generators build the tuples directly and hand
-them to :class:`Graph`, keeping both properties.
+reads: ``cardinality.stable_pair`` reads a node's degree, or else counts
+its neighbors among the searched nodes, to pick the first node with a
+non-neighbor, and ``structure.classify`` intersects three anchors' tuples
+to name a claw center before each three-anchor pass.  A graph keeps one
+adjacency store, an ascending tuple of neighbor ids per node, and answers a
+query by bisection in O(log d) time for a node of degree d.  The store
+takes one 8-byte word per arc plus a 40-byte tuple header per node: the
+tuples share one int object per node id.  The parser streams its edges into
+:func:`build_graph`; the generators build the tuples directly and hand them
+to :class:`Graph`, keeping both properties.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ the lexicographically smallest leaf triple), where the scan stops.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ClawWitnessError
 from .graph import Graph
@@ -38,12 +38,17 @@ class Classification:
     exclusive[v]  nodes adjacent to anchor v and to no other anchor
     shared[(u,v)] nodes adjacent to exactly the anchor pair u, v (u < v)
     detached      nodes adjacent to no anchor
+    hits[i]       the anchors that the i-th node of the classified
+                  ``nodes`` is adjacent to, or None for an anchor; one
+                  entry per node the pass scanned, kept out of equality
+                  and repr
     """
 
     anchors: tuple[int, ...]
     exclusive: dict[int, tuple[int, ...]]
     shared: dict[tuple[int, int], tuple[int, ...]]
     detached: tuple[int, ...]
+    hits: tuple[tuple[int, ...] | None, ...] = field(default=(), compare=False, repr=False)
 
     def exclusive_to(self, v: int) -> tuple[int, ...]:
         return self.exclusive[v]
@@ -67,20 +72,20 @@ def classify(
     order, at most |T| adjacency queries per node.  T must be
     stable and is not rechecked: the cardinality phase builds every anchor
     set stable (``stable_set_min_alpha4`` asserts its result).  For |T| = 3
-    raises ClawWitnessError if some node is adjacent to all three anchors
-    (that node is the center of a claw whose leaves are T).
+    raises ClawWitnessError, before it asks anything, if some node is
+    adjacent to all three anchors: the first such node of ``nodes``, found
+    in the intersection of the anchors' stored neighbor tuples, is the
+    center of a claw whose leaves are T.  That read is uncounted, like
+    ``stable_pair``'s: it only names a claw, and on the claw-free input
+    the solvers assume it finds none.  It takes O(deg) time, plus a scan
+    of ``nodes`` when the anchors share a neighbor.
 
     ``known`` is an earlier partition of the same ``nodes``, in the same
-    order: a node's adjacency to an anchor of both partitions is read from
-    it when it covers that node, so a node costs a query only per anchor it
-    cannot answer.  With ``stop_at_detached`` the pass returns at its first
-    detached node, and the partition covers only the nodes up to it.  For
-    |T| = 3 it first raises the claw that the full pass would: the first
-    node of ``nodes`` adjacent to all three anchors, found in the
-    intersection of their stored neighbor tuples.  That read is uncounted,
-    like ``stable_pair``'s: it only names a claw, and on the claw-free
-    input the solvers assume it finds none.  It takes O(deg) time, plus a
-    scan of ``nodes`` when the anchors share a neighbor.
+    order: the node at position i reads its adjacency to the anchors of
+    both partitions from ``known.hits[i]`` when ``known`` scanned it, so a
+    node costs a query only per anchor it cannot answer.  With
+    ``stop_at_detached`` the pass returns at its first detached node, and
+    the partition covers only the nodes up to it.
     """
     t = tuple(sorted(anchors))
     t_members = set(t)
@@ -94,65 +99,42 @@ def classify(
         pair: [] for pair in combinations(t, 2)
     }
     detached: list[int] = []
-    if stop_at_detached and len(t) == 3:
+    if len(t) == 3:
         a, b, c = map(g.neighbors, t)
         centers = set(a).intersection(b, c)
         center = next((x for x in nodes if x in centers), None) if centers else None
         if center is not None:
             raise ClawWitnessError(center, t)
-    # Each part of ``known`` keeps node order, as this pass does, so the
-    # parts are read in step with it: ``heads`` maps the next unread node
-    # of each part to the part's anchor hits and its unread rest.
-    heads: dict[int, tuple[tuple[int, ...], Iterator[int]]] = {}
-    reused = set() if known is None else t_members.intersection(known.anchors)
-    if reused:
-        for hits, part in (
-            *(((v,), part) for v, part in known.exclusive.items()),
-            *known.shared.items(),
-            ((), known.detached),
-        ):
-            _advance(heads, hits, iter(part))
-    for x in nodes:
-        entry = heads.pop(x, None) if heads else None
-        if entry is not None:
-            _advance(heads, *entry)
+    if known is None:
+        seen, reused = (), set()
+    else:
+        seen, reused = known.hits, t_members.intersection(known.anchors)
+    scanned: list[tuple[int, ...] | None] = []
+    for i, x in enumerate(nodes):
         if x in t_members:
+            scanned.append(None)
             continue
-        if entry is None:
-            hits = tuple(a for a in t if g.adjacent(x, a))
-        else:
-            seen = entry[0]
-            hits = tuple(
-                a for a in t if (a in seen if a in reused else g.adjacent(x, a))
-            )
+        old = seen[i] if i < len(seen) else None
+        hits = tuple(
+            a for a in t if (a in old if old is not None and a in reused else g.adjacent(x, a))
+        )
+        scanned.append(hits)
         if len(hits) == 0:
             detached.append(x)
             if stop_at_detached:
                 break
         elif len(hits) == 1:
             exclusive[hits[0]].append(x)
-        elif len(hits) == 2:
-            shared[hits].append(x)
         else:
-            raise ClawWitnessError(x, t)
+            shared[hits].append(x)
 
     return Classification(
         anchors=t,
         exclusive={v: tuple(nodes) for v, nodes in exclusive.items()},
         shared={pair: tuple(nodes) for pair, nodes in shared.items()},
         detached=tuple(detached),
+        hits=tuple(scanned),
     )
-
-
-def _advance(
-    heads: dict[int, tuple[tuple[int, ...], Iterator[int]]],
-    hits: tuple[int, ...],
-    rest: Iterator[int],
-) -> None:
-    """File the part ``rest`` under its next node in ``heads``, if it has one."""
-    head = next(rest, None)
-    if head is not None:
-        heads[head] = (hits, rest)
 
 
 def find_claw(g: Graph) -> Claw | None:
@@ -174,10 +156,13 @@ def find_claw(g: Graph) -> Claw | None:
     # Presized set copies, as the solve's bisecting oracle would pay O(log d)
     # on each of the sum C(d, 2) pairs.  A pair is tested from its lower id,
     # so each node keeps only its neighbors above it: half the copies' size.
+    # Nodes with none share one empty set.
+    empty: frozenset[int] = frozenset()
     above = []
     for v in range(g.n):
         nbrs = g.neighbors(v)
-        above.append(frozenset(set(nbrs[bisect_right(nbrs, v) :])))
+        higher = nbrs[bisect_right(nbrs, v) :]
+        above.append(frozenset(set(higher)) if higher else empty)
     counter = g.counter
     for center in range(g.n):
         nbrs = g.neighbors(center)

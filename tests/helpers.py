@@ -116,7 +116,7 @@ def min_alpha4_by_full_passes(g: Graph, nodes) -> StableSetReport:
     pair = stable_pair(g, nodes)
     if pair is None:
         return StableSetReport((nodes[0],))
-    triple = extend_to_three(g, nodes, pair, classify(g, nodes, pair))
+    triple = extend_to_three(g, classify(g, nodes, pair))
     if triple is None:
         return StableSetReport(tuple(sorted(pair)))
     cls = classify(g, nodes, triple)

@@ -40,6 +40,20 @@ def test_stable_pair_examples():
     assert stable_pair(build_graph(1, []), range(1)) is None
 
 
+def test_stable_pair_reads_a_low_degree_before_any_neighbor_set(monkeypatch):
+    built = []
+    neighbor_set = Graph.neighbor_set
+
+    def logged_neighbor_set(g, v):
+        built.append(v)
+        return neighbor_set(g, v)
+
+    monkeypatch.setattr(Graph, "neighbor_set", logged_neighbor_set)
+    g = Graph([()] * (1 << 16))
+    assert stable_pair(g, range(g.n)) == (0, 1)
+    assert built == []
+
+
 def test_three_sets_direct_construction():
     # s=0, t=1, a=2, b=3, c=4 with edges s-a, t-b, s-c, t-c.
     g = build_graph(5, [(0, 2), (1, 3), (0, 4), (1, 4)])
@@ -222,9 +236,9 @@ def test_four_sets_agrees_with_exhaustive_scan():
 
 
 def test_extend_to_three_examples():
-    triple = extend_to_three(cycle(7), range(7), (0, 2))
+    triple = extend_to_three(cycle(7), classify(cycle(7), range(7), (0, 2)))
     assert triple == (0, 2, 4)
-    assert extend_to_three(cycle(5), range(5), (0, 2)) is None
+    assert extend_to_three(cycle(5), classify(cycle(5), range(5), (0, 2))) is None
 
 
 def test_extend_to_three_matches_brute_alpha():
@@ -234,7 +248,7 @@ def test_extend_to_three_matches_brute_alpha():
         pair = stable_pair(g, range(g.n))
         if pair is None:
             continue
-        triple = extend_to_three(g, range(g.n), pair)
+        triple = extend_to_three(g, classify(g, range(g.n), pair))
         alpha = brute_alpha_min4(g)
         assert (triple is None) == (alpha == 2)
         if triple is not None:
@@ -265,7 +279,7 @@ def test_extend_to_four_matches_brute_alpha():
         pair = stable_pair(g, range(g.n))
         if pair is None:
             continue
-        triple = extend_to_three(g, range(g.n), pair)
+        triple = extend_to_three(g, classify(g, range(g.n), pair))
         if triple is None:
             continue
         quad = extend_to_four(g, classify(g, range(g.n), triple))

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from math import comb
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from clawmwss import (
     Claw,
     ClawWitnessError,
+    Graph,
     build_graph,
     find_claw,
     generate,
@@ -50,6 +52,17 @@ def test_find_claw_stops_at_the_first_claw_of_a_wide_star():
     started = time.perf_counter()
     assert find_claw(g) == Claw(0, (1, 2, 3))
     assert time.perf_counter() - started < 1.0
+
+
+def test_find_claw_shares_one_empty_set_among_nodes_without_higher_neighbors():
+    g = Graph([()] * (1 << 16))
+    tracemalloc.start()
+    try:
+        assert find_claw(g) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * g.n
 
 
 def _first_claw(g):
@@ -164,6 +177,7 @@ def test_classify_reports_claw_for_universal_node():
         classify(g, range(g.n), (0, 1, 2))
     assert excinfo.value.center == 3
     assert excinfo.value.leaves == (0, 1, 2)
+    assert g.counter.count == 0
 
 
 def test_classify_requires_size_2_or_3():
