@@ -23,8 +23,9 @@ class StableSetReport:
     """A stable set whose size equals min(alpha(G), 4).
 
     When alpha(G) = 3, ``classification`` is the ``classify`` partition of
-    ``nodes`` that ``extend_to_four`` searched; otherwise it is None.  It
-    takes no part in equality.
+    ``nodes`` that ``extend_to_four`` searched: it has no detached node, so
+    it covers every node, and its ``hits`` record shares the 6 part keys.
+    Otherwise it is None.  It takes no part in equality.
     """
 
     nodes: tuple[int, ...]
@@ -205,8 +206,8 @@ def stable_set_min_alpha4(g: Graph, nodes: Sequence[int] | None = None) -> Stabl
 
     The search asks only adjacencies among ``nodes`` and builds no graph.
     Its two ``classify`` passes ask each (node, anchor) adjacency at most
-    once: both stop at their first detached node, and the triple's pass
-    reads the pair's answers by position for the anchors the two share.
+    once: ``classify`` stops at its first detached node, and the triple's
+    pass reads the pair's answers by position for the anchors the two share.
     So a node costs at most 3 anchor queries over both passes when the
     triple adds that detached node to the pair, and 4 or 5 when the triple
     keeps one pair anchor or none; a cycle costs the same few queries at
@@ -222,12 +223,12 @@ def stable_set_min_alpha4(g: Graph, nodes: Sequence[int] | None = None) -> Stabl
     pair = stable_pair(g, nodes)
     if pair is None:
         return StableSetReport((nodes[0],))
-    known = classify(g, nodes, pair, stop_at_detached=True)
+    known = classify(g, nodes, pair)
     triple = extend_to_three(g, known)
     if triple is None:
         report = StableSetReport(tuple(sorted(pair)))
     else:
-        cls = classify(g, nodes, triple, known=known, stop_at_detached=True)
+        cls = classify(g, nodes, triple, known=known)
         quad = extend_to_four(g, cls)
         report = StableSetReport(triple, cls) if quad is None else StableSetReport(quad)
     assert is_stable_set(g, report.nodes), "internal error: result not stable"

@@ -35,26 +35,27 @@ class Claw:
 class Classification:
     """Partition of the nodes outside the anchor set T.
 
-    exclusive[v]  nodes adjacent to anchor v and to no other anchor
-    shared[(u,v)] nodes adjacent to exactly the anchor pair u, v (u < v)
-    detached      nodes adjacent to no anchor
-    hits[i]       the anchors that the i-th node of the classified
-                  ``nodes`` is adjacent to, or None for an anchor; one
-                  entry per node the pass scanned, kept out of equality
-                  and repr
+    parts[key]  the nodes adjacent to exactly the anchors in ``key``, in
+                scan order; the keys are the sorted anchor tuples of size
+                < 3: () detached, (v,) exclusive to v, (u, v) shared
+    hits[i]     the part key of the i-th node of the classified ``nodes``,
+                or None for an anchor; one entry per node the pass
+                scanned, kept out of equality and repr
     """
 
     anchors: tuple[int, ...]
-    exclusive: dict[int, tuple[int, ...]]
-    shared: dict[tuple[int, int], tuple[int, ...]]
-    detached: tuple[int, ...]
-    hits: tuple[tuple[int, ...] | None, ...] = field(default=(), compare=False, repr=False)
+    parts: dict[tuple[int, ...], tuple[int, ...]]
+    hits: tuple[tuple[int, ...] | None, ...] = field(compare=False, repr=False)
+
+    @property
+    def detached(self) -> tuple[int, ...]:
+        return self.parts[()]
 
     def exclusive_to(self, v: int) -> tuple[int, ...]:
-        return self.exclusive[v]
+        return self.parts[(v,)]
 
     def shared_by(self, u: int, v: int) -> tuple[int, ...]:
-        return self.shared[(u, v) if u < v else (v, u)]
+        return self.parts[(u, v) if u < v else (v, u)]
 
 
 def classify(
@@ -63,29 +64,29 @@ def classify(
     anchors: Iterable[int],
     *,
     known: Classification | None = None,
-    stop_at_detached: bool = False,
 ) -> Classification:
     """Classify ``nodes`` minus T by adjacency to each anchor of the stable
-    set T, which lies inside ``nodes``.
+    set T, which lies inside ``nodes``, up to the first node adjacent to no
+    anchor.
 
     One pass over ``nodes`` in the given order, so each part keeps that
-    order, at most |T| adjacency queries per node.  T must be
-    stable and is not rechecked: the cardinality phase builds every anchor
-    set stable (``stable_set_min_alpha4`` asserts its result).  For |T| = 3
-    raises ClawWitnessError, before it asks anything, if some node is
-    adjacent to all three anchors: the first such node of ``nodes``, found
-    in the intersection of the anchors' stored neighbor tuples, is the
-    center of a claw whose leaves are T.  That read is uncounted, like
-    ``stable_pair``'s: it only names a claw, and on the claw-free input
-    the solvers assume it finds none.  It takes O(deg) time, plus a scan
-    of ``nodes`` when the anchors share a neighbor.
+    order, at most |T| adjacency queries per node.  The pass returns at its
+    first detached node, the only one the cardinality phase reads, so the
+    partition covers only the nodes up to it (all of them when there is
+    none).  T must be stable and is not rechecked: the cardinality phase
+    builds every anchor set stable (``stable_set_min_alpha4`` asserts its
+    result).  For |T| = 3 raises ClawWitnessError, before it asks anything,
+    if some node is adjacent to all three anchors: the first such node of
+    ``nodes``, found in the intersection of the anchors' stored neighbor
+    tuples, is the center of a claw whose leaves are T.  That read is
+    uncounted, like ``stable_pair``'s: it only names a claw, and on the
+    claw-free input the solvers assume it finds none.  It takes O(deg)
+    time, plus a scan of ``nodes`` when the anchors share a neighbor.
 
     ``known`` is an earlier partition of the same ``nodes``, in the same
     order: the node at position i reads its adjacency to the anchors of
     both partitions from ``known.hits[i]`` when ``known`` scanned it, so a
-    node costs a query only per anchor it cannot answer.  With
-    ``stop_at_detached`` the pass returns at its first detached node, and
-    the partition covers only the nodes up to it.
+    node costs a query only per anchor it cannot answer.
     """
     t = tuple(sorted(anchors))
     t_members = set(t)
@@ -94,17 +95,15 @@ def classify(
     if len(t) not in (2, 3):
         raise ValueError(f"anchor set must have size 2 or 3, got {len(t)}")
 
-    exclusive: dict[int, list[int]] = {v: [] for v in t}
-    shared: dict[tuple[int, int], list[int]] = {
-        pair: [] for pair in combinations(t, 2)
-    }
-    detached: list[int] = []
     if len(t) == 3:
         a, b, c = map(g.neighbors, t)
         centers = set(a).intersection(b, c)
         center = next((x for x in nodes if x in centers), None) if centers else None
         if center is not None:
             raise ClawWitnessError(center, t)
+    # One key object per part: each node's hits entry is its part's key.
+    keys = {key: key for r in range(3) for key in combinations(t, r)}
+    parts: dict[tuple[int, ...], list[int]] = {key: [] for key in keys}
     if known is None:
         seen, reused = (), set()
     else:
@@ -118,21 +117,15 @@ def classify(
         hits = tuple(
             a for a in t if (a in old if old is not None and a in reused else g.adjacent(x, a))
         )
-        scanned.append(hits)
-        if len(hits) == 0:
-            detached.append(x)
-            if stop_at_detached:
-                break
-        elif len(hits) == 1:
-            exclusive[hits[0]].append(x)
-        else:
-            shared[hits].append(x)
+        key = keys[hits]
+        scanned.append(key)
+        parts[key].append(x)
+        if not key:
+            break
 
     return Classification(
         anchors=t,
-        exclusive={v: tuple(nodes) for v, nodes in exclusive.items()},
-        shared={pair: tuple(nodes) for pair, nodes in shared.items()},
-        detached=tuple(detached),
+        parts={key: tuple(part) for key, part in parts.items()},
         hits=tuple(scanned),
     )
 

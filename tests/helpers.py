@@ -5,10 +5,10 @@ from __future__ import annotations
 import itertools
 import sys
 
-from clawmwss import Graph, StableSetReport, build_graph, generate, write_instance
+from clawmwss import ClawWitnessError, Graph, StableSetReport, build_graph, generate, write_instance
 from clawmwss.cardinality import extend_to_four, extend_to_three, stable_pair
 from clawmwss.gen import GenSpec, SplitMix64, sample_spec
-from clawmwss.structure import Claw, classify
+from clawmwss.structure import Claw, Classification
 
 
 def cycle(n: int) -> Graph:
@@ -107,19 +107,35 @@ def brute_mwss_full(g: Graph, weights) -> tuple[tuple[int, ...], int]:
     return best[1], best[0]
 
 
+def _full_partition(g: Graph, nodes, anchors) -> Classification:
+    """Every node of ``nodes`` outside the stable ``anchors``, filed by the
+    anchors it is adjacent to, read from neighbor sets (uncounted); raises
+    the claw at the first node adjacent to all three anchors."""
+    anchors = tuple(sorted(anchors))
+    parts = {key: [] for r in range(3) for key in itertools.combinations(anchors, r)}
+    for x in nodes:
+        if x in anchors:
+            continue
+        hits = tuple(a for a in anchors if a in g.neighbor_set(x))
+        if len(hits) == 3:
+            raise ClawWitnessError(x, anchors)
+        parts[hits].append(x)
+    return Classification(anchors, {key: tuple(part) for key, part in parts.items()}, hits=())
+
+
 def min_alpha4_by_full_passes(g: Graph, nodes) -> StableSetReport:
-    """``stable_set_min_alpha4`` with two full ``classify`` passes that share
-    no answer: the pair's partition covers every node, and the triple's asks
-    all three anchors of every node."""
+    """``stable_set_min_alpha4`` with two full partitions built without
+    ``classify``: the pair's covers every node, and the triple's reads all
+    three anchors of every node."""
     if not nodes:
         return StableSetReport(())
     pair = stable_pair(g, nodes)
     if pair is None:
         return StableSetReport((nodes[0],))
-    triple = extend_to_three(g, classify(g, nodes, pair))
+    triple = extend_to_three(g, _full_partition(g, nodes, pair))
     if triple is None:
         return StableSetReport(tuple(sorted(pair)))
-    cls = classify(g, nodes, triple)
+    cls = _full_partition(g, nodes, triple)
     quad = extend_to_four(g, cls)
     return StableSetReport(triple, cls) if quad is None else StableSetReport(quad)
 

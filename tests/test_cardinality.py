@@ -25,6 +25,7 @@ from clawmwss.oracles import brute_alpha_min4, is_stable_set
 from clawmwss.structure import classify
 
 from helpers import (
+    bench_instances,
     complete,
     cycle,
     min_alpha4_by_full_passes,
@@ -433,6 +434,20 @@ def test_cycle_costs_the_same_queries_at_every_length():
         assert report.alpha_at_least_4 and is_stable_set(g, report.nodes)
         counts.add(g.counter.count)
     assert len(counts) == 1
+
+
+def test_alpha3_report_hits_are_the_keys_of_their_parts():
+    # Each hits entry is the key object of its node's part, so the record
+    # holds at most 6 tuples however many nodes the pass scanned.
+    g, _ = bench_instances([1024, 4096, 16384], seed=0)[2]  # bench --seed 0 at 2^14
+    report = stable_set_min_alpha4(g)
+    assert report.exact_alpha == 3
+    cls = report.classification
+    assert len(cls.hits) == g.n
+    part_of = {v: key for key, part in cls.parts.items() for v in part}
+    for v, hits in enumerate(cls.hits):
+        assert hits is None if v in cls.anchors else hits is part_of[v]
+    assert len({id(hits) for hits in cls.hits if hits is not None}) <= 6
 
 
 def test_edgeless_header_costs_a_few_queries():

@@ -151,16 +151,17 @@ def test_classify_c7_triple():
 
 
 def test_classify_pair():
+    # The pass stops at node 4, the first detached node; node 6 lies past it.
     cls = classify(cycle(7), range(7), (0, 2))
-    assert list(cls.exclusive_to(0)) == [6]
-    assert list(cls.exclusive_to(2)) == [3]
-    assert list(cls.shared_by(0, 2)) == [1]
-    assert list(cls.detached) == [4, 5]
+    assert cls.shared_by(0, 2) == (1,)
+    assert cls.exclusive_to(2) == (3,)
+    assert cls.exclusive_to(0) == ()
+    assert cls.detached == (4,)
 
 
 def test_classify_stops_at_detached_and_reads_known_answers():
     g = cycle(7)
-    pair = classify(g, range(7), (0, 2), stop_at_detached=True)
+    pair = classify(g, range(7), (0, 2))
     assert (pair.shared_by(0, 2), pair.exclusive_to(2), pair.detached) == ((1,), (3,), (4,))
     assert pair.exclusive_to(0) == ()  # node 6 lies past the stop
     assert g.counter.count == 6
@@ -199,8 +200,15 @@ def test_classification_partitions_remaining_nodes():
             for v in nodes:
                 assert v not in seen, f"{v} in both {seen.get(v)} and {name}"
                 seen[v] = name
+        # The parts cover exactly the nodes up to the first detached one.
         anchors = set(cls.anchors)
-        assert set(seen) == set(range(g.n)) - anchors
+        covered = set()
+        for v in range(g.n):
+            if v not in anchors:
+                covered.add(v)
+                if not anchors & g.neighbor_set(v):
+                    break
+        assert set(seen) == covered
         # Membership is exactly determined by anchor adjacency.
         for v, name in seen.items():
             hits = tuple(a for a in cls.anchors if v in g.neighbor_set(a))
@@ -235,8 +243,10 @@ def _some_stable_anchors(g, rng):
 
 
 def _named_sets(cls):
-    for v, nodes in cls.exclusive.items():
-        yield f"exclusive:{v}", nodes
-    for pair, nodes in cls.shared.items():
-        yield f"shared:{pair}", nodes
-    yield "detached", cls.detached
+    for key, nodes in cls.parts.items():
+        if not key:
+            yield "detached", nodes
+        elif len(key) == 1:
+            yield f"exclusive:{key[0]}", nodes
+        else:
+            yield f"shared:{key}", nodes
