@@ -73,17 +73,25 @@ def three_sets_stable(
     ``first_free`` always returns the completing node: the one with the
     smallest position in Z.  Only the probes of a non-adjacent pair get a
     mask, so the search asks at most |X| * |Y| pair queries plus p per
-    probe it reaches.  Returns None when no triple exists.
+    probe it reaches.  Before asking about a pair it adds the counts it
+    already knows, an unbuilt mask counting 0; each is a lower bound on the
+    probe's count, so when the sum reaches p the pair leaves no gap,
+    adjacent or not, and is skipped unasked.  The pair that wins is the
+    same, and no mask is built that the unskipped scan would not build.
+    Returns None when no triple exists.
     """
     if not xs or not ys or not zs:
         return None
     clique = OrderedCliquePrefix.build(g, zs)
     p = len(zs)
+    covered: dict[int, int] = {}
     for x in xs:
         for y in ys:
-            if g.adjacent(x, y):
+            if covered.get(x, 0) + covered.get(y, 0) >= p or g.adjacent(x, y):
                 continue
-            if clique.mask(x).bit_count() + clique.mask(y).bit_count() < p:
+            covered[x] = clique.mask(x).bit_count()
+            covered[y] = clique.mask(y).bit_count()
+            if covered[x] + covered[y] < p:
                 return (x, y, clique.first_free(x, y))
     return None
 
@@ -162,8 +170,8 @@ def extend_to_four(g: Graph, cls: Classification) -> tuple[int, int, int, int] |
     alternates with the anchors along a path that contains either two anchors
     (5 nodes) or all three (7 nodes); both shapes reduce to the set searches.
     The 7-node search needs W null to Z and X null to Y, which only
-    claw-freeness guarantees; both are checked, and a crossing edge raises
-    ClawWitnessError.
+    claw-freeness guarantees; both are checked, each pair of sets once over
+    the three middles, and a crossing edge raises ClawWitnessError.
     """
     grown = _grow(g, cls)
     if grown is not None:
@@ -178,19 +186,23 @@ def extend_to_four(g: Graph, cls: Classification) -> tuple[int, int, int, int] |
             c = next(x for x in (s, t, u) if x != a and x != b)
             return tuple(sorted((*triple, c)))
     # Path with all three anchors, b in the middle: (x, a, w, b, y, c, z).
+    # b = s and b = t both run when the (s, t)-shared set is non-empty.  Then
+    # b = t's (ws, zs) check is b = s's, and b = u's two checks are b = s's
+    # (xs, ys) with the sets swapped and b = t's (xs, ys): each repeat would
+    # ask again a pair of sets already proved null to each other.
+    st_checked = bool(cls.shared_by(s, t))
     for b in (s, t, u):
         a, c = (x for x in (s, t, u) if x != b)
         ws = cls.shared_by(a, b)
         if not ws:
             continue
         xs, ys, zs = cls.exclusive_to(a), cls.shared_by(b, c), cls.exclusive_to(c)
-        # At b = t, ws and zs are the (s, t)-shared set and u's exclusive
-        # set again, which b = s proved null to each other.
-        crossing = None if b == t else is_null_to(g, ws, zs)
+        repeat = b == u and st_checked
+        crossing = None if b == t or repeat else is_null_to(g, ws, zs)
         if crossing is not None:
             w, z = crossing
             raise ClawWitnessError(w, (a, b, z))
-        crossing = is_null_to(g, xs, ys)
+        crossing = None if repeat else is_null_to(g, xs, ys)
         if crossing is not None:
             x, y = crossing
             raise ClawWitnessError(y, (x, b, c))

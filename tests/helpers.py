@@ -6,6 +6,7 @@ import itertools
 import sys
 
 from clawmwss import ClawWitnessError, Graph, StableSetReport, build_graph, generate, write_instance
+from clawmwss.graph import OrderedCliquePrefix
 from clawmwss.cardinality import extend_to_four, extend_to_three, stable_pair
 from clawmwss.gen import GenSpec, SplitMix64, sample_spec
 from clawmwss.structure import Claw, Classification
@@ -121,6 +122,23 @@ def _full_partition(g: Graph, nodes, anchors) -> Classification:
             raise ClawWitnessError(x, anchors)
         parts[hits].append(x)
     return Classification(anchors, {key: tuple(part) for key, part in parts.items()}, hits=())
+
+
+def three_sets_by_pairs(g: Graph, xs, ys, zs) -> tuple[int, int, int] | None:
+    """Reference for ``cardinality.three_sets_stable`` that asks every x-y
+    pair in scan order before it reads a clique mask: the first
+    non-adjacent pair whose mask counts leave a gap in Z wins."""
+    if not xs or not ys or not zs:
+        return None
+    clique = OrderedCliquePrefix.build(g, zs)
+    p = len(zs)
+    for x in xs:
+        for y in ys:
+            if g.adjacent(x, y):
+                continue
+            if clique.mask(x).bit_count() + clique.mask(y).bit_count() < p:
+                return (x, y, clique.first_free(x, y))
+    return None
 
 
 def min_alpha4_by_full_passes(g: Graph, nodes) -> StableSetReport:

@@ -9,6 +9,13 @@ import clawmwss
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_public_names_are_exactly_the_documented_api():
     assert sorted(clawmwss.__all__) == [
         "AlphaAtLeast4",
@@ -34,9 +41,7 @@ def test_public_names_are_exactly_the_documented_api():
 
 
 def test_every_traced_layer_resolves_at_module_level():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load_spans()
     for mod_name, fns in spans.LAYERS.items():
         mod = importlib.import_module(f"clawmwss.{mod_name}")
         for fn_name in fns:
@@ -49,3 +54,29 @@ def test_every_traced_layer_resolves_at_module_level():
     # One clique primitive: patching weighted.OrderedCliquePrefix.build also
     # traces the cardinality searches that build masks.
     assert clawmwss.weighted.OrderedCliquePrefix is clawmwss.graph.OrderedCliquePrefix
+
+
+def test_every_graph_constructor_reaches_the_benchmark_query_probe():
+    # perfbench's CounterProbe collects query counters by wrapping
+    # Graph.__init__: a constructor route that skips it would make
+    # queries_total read low, and nothing else would fail.
+    spans = _load_spans()
+    probe = spans.CounterProbe(clawmwss.Graph)
+    probe.install()
+    try:
+        routes = {
+            "build_graph": lambda: clawmwss.build_graph(3, [(0, 1)]),
+            "read_instance": lambda: clawmwss.read_instance("p edge 3 1\ne 1 2\n")[0],
+            "with_counter": lambda: clawmwss.build_graph(3, [(0, 1)]).with_counter(),
+        }
+        for kind in clawmwss.gen.KINDS:
+            spec = clawmwss.GenSpec(kind, 12, seed=1)
+            routes[kind] = lambda spec=spec: clawmwss.generate(spec)[0]
+        for name, build in routes.items():
+            probe.reset()
+            g = build()
+            before = probe.total()
+            g.adjacent(0, g.n - 1)
+            assert probe.total() == before + 1, name
+    finally:
+        probe.uninstall()

@@ -20,7 +20,8 @@ from clawmwss.cardinality import (
     stable_pair,
     three_sets_stable,
 )
-from clawmwss.gen import SplitMix64, sample_spec
+from clawmwss.gen import GenSpec, SplitMix64, sample_spec
+from clawmwss.graph import is_null_to
 from clawmwss.oracles import brute_alpha_min4, is_stable_set
 from clawmwss.structure import classify
 
@@ -31,6 +32,7 @@ from helpers import (
     min_alpha4_by_full_passes,
     random_clawfree,
     random_graph,
+    three_sets_by_pairs,
 )
 
 
@@ -154,6 +156,56 @@ def test_three_sets_asks_only_the_pairs_when_x_is_complete_to_y():
     assert view.counter.count == len(xs) * len(ys)
 
 
+def test_three_sets_skips_pairs_whose_known_counts_cover_z():
+    # The pair partition of the GOLDEN complement_triangle_free instance has
+    # no triple: the scan that asks every x-y pair first pays 382 queries,
+    # and skipping the pairs whose built masks already cover Z pays 207.
+    g, _, _ = generate(GenSpec("complement_triangle_free", 40, -50, 50, seed=6))
+    cls = classify(g, range(g.n), stable_pair(g, range(g.n)))
+    s, t = cls.anchors
+    sets = (cls.shared_by(s, t), cls.exclusive_to(s), cls.exclusive_to(t))
+    every_pair, skipping = g.with_counter(), g.with_counter()
+    assert three_sets_by_pairs(every_pair, *sets) is None
+    assert three_sets_stable(skipping, *sets) is None
+    assert (every_pair.counter.count, skipping.counter.count) == (382, 207)
+
+
+def _searched_partitions():
+    """The pair's and the triple's ``classify`` partitions of
+    ``_differential_inputs`` that ``stable_set_min_alpha4`` builds."""
+    for g, nodes in _differential_inputs():
+        pair = stable_pair(g, nodes)
+        if pair is None:
+            continue
+        known = classify(g, nodes, pair)
+        yield g, known
+        triple = extend_to_three(g, known)
+        if triple is not None:
+            try:
+                yield g, classify(g, nodes, triple, known=known)
+            except ClawWitnessError:
+                pass
+
+
+def test_three_sets_matches_the_every_pair_scan_and_never_asks_more():
+    searches = fewer = found = 0
+    for g, cls in _searched_partitions():
+        if len(cls.anchors) == 2:
+            s, t = cls.anchors
+            configs = [(cls.shared_by(s, t), cls.exclusive_to(s), cls.exclusive_to(t))]
+        else:
+            configs = _triple_configs(g, cls)
+        for sets in configs:
+            every_pair, skipping = g.with_counter(), g.with_counter()
+            expected = three_sets_by_pairs(every_pair, *sets)
+            assert three_sets_stable(skipping, *sets) == expected
+            assert skipping.counter.count <= every_pair.counter.count
+            searches += 1
+            fewer += skipping.counter.count < every_pair.counter.count
+            found += expected is not None
+    assert searches > 10000 and fewer > 500 and found > 250
+
+
 def test_four_sets_reduces_to_triple_when_w_isolated():
     # s=0, t=1, a=2, b=3, c=4 as above plus isolated w=5.
     g = build_graph(6, [(0, 2), (1, 3), (0, 4), (1, 4)])
@@ -188,6 +240,34 @@ def test_extend_to_four_reports_x_y_crossing_as_claw():
     with pytest.raises(ClawWitnessError) as info:
         extend_to_four(g, classify(g, range(g.n), (0, 1, 2)))
     assert (info.value.center, info.value.leaves) == (5, (0, 2, 4))
+
+
+def test_extend_to_four_checks_each_pair_of_sets_once(monkeypatch):
+    # Non-empty parts of one partition are disjoint, so their contents name
+    # them; a check with an empty side asks nothing and is not logged.
+    checked = []
+
+    def logged_is_null_to(g, a, b):
+        if a and b:
+            checked.append(frozenset((tuple(a), tuple(b))))
+        return is_null_to(g, a, b)
+
+    monkeypatch.setattr(cardinality, "is_null_to", logged_is_null_to)
+    rng = SplitMix64(45)
+    three_middles = alpha3 = 0
+    inputs = [g for g, _ in bench_instances([1024, 4096], seed=0)]
+    while alpha3 < 300:
+        g = inputs.pop() if inputs else random_clawfree(rng, 40)[0]
+        checked.clear()
+        report = stable_set_min_alpha4(g)
+        if report.exact_alpha != 3:
+            continue
+        alpha3 += 1
+        assert len(set(checked)) == len(checked), "a pair of sets was checked twice"
+        s, t, u = report.classification.anchors
+        shared = report.classification.shared_by
+        three_middles += bool(shared(s, t)) and bool(shared(s, u))
+    assert three_middles > 50
 
 
 def _stable_quads_brute(g, xs, ys, zs, ws):
