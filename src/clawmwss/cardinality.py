@@ -24,8 +24,8 @@ class StableSetReport:
 
     When alpha(G) = 3, ``classification`` is the ``classify`` partition of
     ``nodes`` that ``extend_to_four`` searched: it has no detached node, so
-    it covers every node, and its ``hits`` record shares the 6 part keys.
-    Otherwise it is None.  It takes no part in equality.
+    it covers every node.  Otherwise it is None.  It takes no part in
+    equality.
     """
 
     nodes: tuple[int, ...]
@@ -73,25 +73,23 @@ def three_sets_stable(
     ``first_free`` always returns the completing node: the one with the
     smallest position in Z.  Only the probes of a non-adjacent pair get a
     mask, so the search asks at most |X| * |Y| pair queries plus p per
-    probe it reaches.  Before asking about a pair it adds the counts it
-    already knows, an unbuilt mask counting 0; each is a lower bound on the
-    probe's count, so when the sum reaches p the pair leaves no gap,
-    adjacent or not, and is skipped unasked.  The pair that wins is the
-    same, and no mask is built that the unskipped scan would not build.
+    probe it reaches.  Before asking about a pair it adds the popcounts of
+    the masks already built, an unbuilt mask counting 0; each is a lower
+    bound on the probe's count, so when the sum reaches p the pair leaves
+    no gap, adjacent or not, and is skipped unasked.  The pair that wins is
+    the same, and no mask is built that the unskipped scan would not build.
     Returns None when no triple exists.
     """
     if not xs or not ys or not zs:
         return None
     clique = OrderedCliquePrefix.build(g, zs)
     p = len(zs)
-    covered: dict[int, int] = {}
+    masks = clique.masks
     for x in xs:
         for y in ys:
-            if covered.get(x, 0) + covered.get(y, 0) >= p or g.adjacent(x, y):
+            if masks.get(x, 0).bit_count() + masks.get(y, 0).bit_count() >= p or g.adjacent(x, y):
                 continue
-            covered[x] = clique.mask(x).bit_count()
-            covered[y] = clique.mask(y).bit_count()
-            if covered[x] + covered[y] < p:
+            if clique.mask(x).bit_count() + clique.mask(y).bit_count() < p:
                 return (x, y, clique.first_free(x, y))
     return None
 
@@ -219,7 +217,8 @@ def stable_set_min_alpha4(g: Graph, nodes: Sequence[int] | None = None) -> Stabl
     The search asks only adjacencies among ``nodes`` and builds no graph.
     Its two ``classify`` passes ask each (node, anchor) adjacency at most
     once: ``classify`` stops at its first detached node, and the triple's
-    pass reads the pair's answers by position for the anchors the two share.
+    pass reads each node's answers for the anchors the two share from the
+    pair's part that holds it.
     So a node costs at most 3 anchor queries over both passes when the
     triple adds that detached node to the pair, and 4 or 5 when the triple
     keeps one pair anchor or none; a cycle costs the same few queries at

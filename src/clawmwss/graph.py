@@ -14,9 +14,10 @@ to name a claw center before each three-anchor pass.  A graph keeps one
 adjacency store, an ascending tuple of neighbor ids per node, and answers a
 query by bisection in O(log d) time for a node of degree d.  The store
 takes one 8-byte word per arc plus a 40-byte tuple header per node: the
-tuples share one int object per node id.  The parser streams its edges into
-:func:`build_graph`; the generators build the tuples directly and hand them
-to :class:`Graph`, keeping both properties.
+tuples share one int object per node id.  The parser and the cycle
+generator pass their edges to :func:`build_graph`; the line-graph and
+triangle-free-complement generators build the tuples directly and hand
+them to :class:`Graph`, keeping both properties.
 """
 
 from __future__ import annotations

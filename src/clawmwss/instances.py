@@ -29,10 +29,13 @@ BATCH_HINT = 1 << 10
 
 
 def _parse_int(token: str, line_no: int, what: str) -> int:
-    try:
-        return int(token, 10)
-    except ValueError:
-        raise InstanceFormatError(line_no, f"{what} is not an integer: {token!r}") from None
+    # int() would read the digit separator in "1_0" as 10.
+    if "_" not in token:
+        try:
+            return int(token, 10)
+        except ValueError:
+            pass
+    raise InstanceFormatError(line_no, f"{what} is not an integer: {token!r}")
 
 
 def read_instance(stream: IO[str] | str) -> tuple[Graph, list[int]]:
@@ -67,6 +70,8 @@ def _edge_batch(batch: list[str], n: int, room: int) -> list[int] | None:
         return None
     text = "".join(batch)
     if not (text.isascii() and text.startswith("e") and text.count("\ne") == k - 1):
+        return None
+    if "_" in text:  # int() reads digit separators; the line loop refuses them
         return None
     tokens = text.split()
     if len(tokens) != 3 * k or tokens[0::3].count("e") != k:

@@ -15,7 +15,7 @@ the lexicographically smallest leaf triple), where the scan stops.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -38,14 +38,10 @@ class Classification:
     parts[key]  the nodes adjacent to exactly the anchors in ``key``, in
                 scan order; the keys are the sorted anchor tuples of size
                 < 3: () detached, (v,) exclusive to v, (u, v) shared
-    hits[i]     the part key of the i-th node of the classified ``nodes``,
-                or None for an anchor; one entry per node the pass
-                scanned, kept out of equality and repr
     """
 
     anchors: tuple[int, ...]
     parts: dict[tuple[int, ...], tuple[int, ...]]
-    hits: tuple[tuple[int, ...] | None, ...] = field(compare=False, repr=False)
 
     @property
     def detached(self) -> tuple[int, ...]:
@@ -83,10 +79,9 @@ def classify(
     claw-free input the solvers assume it finds none.  It takes O(deg)
     time, plus a scan of ``nodes`` when the anchors share a neighbor.
 
-    ``known`` is an earlier partition of the same ``nodes``, in the same
-    order: the node at position i reads its adjacency to the anchors of
-    both partitions from ``known.hits[i]`` when ``known`` scanned it, so a
-    node costs a query only per anchor it cannot answer.
+    ``known`` is an earlier partition in the same graph: a node it filed
+    reads its adjacency to the anchors of both partitions from its part's
+    key there, so a node costs a query only per anchor it cannot answer.
     """
     t = tuple(sorted(anchors))
     t_members = set(t)
@@ -101,33 +96,26 @@ def classify(
         center = next((x for x in nodes if x in centers), None) if centers else None
         if center is not None:
             raise ClawWitnessError(center, t)
-    # One key object per part: each node's hits entry is its part's key.
-    keys = {key: key for r in range(3) for key in combinations(t, r)}
-    parts: dict[tuple[int, ...], list[int]] = {key: [] for key in keys}
+    parts: dict[tuple[int, ...], list[int]] = {
+        key: [] for r in range(3) for key in combinations(t, r)
+    }
     if known is None:
-        seen, reused = (), set()
+        answers, reused = {}, set()
     else:
-        seen, reused = known.hits, t_members.intersection(known.anchors)
-    scanned: list[tuple[int, ...] | None] = []
-    for i, x in enumerate(nodes):
+        answers = {x: key for key, part in known.parts.items() for x in part}
+        reused = t_members.intersection(known.anchors)
+    for x in nodes:
         if x in t_members:
-            scanned.append(None)
             continue
-        old = seen[i] if i < len(seen) else None
-        hits = tuple(
+        old = answers.get(x)
+        key = tuple(
             a for a in t if (a in old if old is not None and a in reused else g.adjacent(x, a))
         )
-        key = keys[hits]
-        scanned.append(key)
         parts[key].append(x)
         if not key:
             break
 
-    return Classification(
-        anchors=t,
-        parts={key: tuple(part) for key, part in parts.items()},
-        hits=tuple(scanned),
-    )
+    return Classification(anchors=t, parts={key: tuple(part) for key, part in parts.items()})
 
 
 def find_claw(g: Graph) -> Claw | None:

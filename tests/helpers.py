@@ -121,7 +121,7 @@ def _full_partition(g: Graph, nodes, anchors) -> Classification:
         if len(hits) == 3:
             raise ClawWitnessError(x, anchors)
         parts[hits].append(x)
-    return Classification(anchors, {key: tuple(part) for key, part in parts.items()}, hits=())
+    return Classification(anchors, {key: tuple(part) for key, part in parts.items()})
 
 
 def three_sets_by_pairs(g: Graph, xs, ys, zs) -> tuple[int, int, int] | None:

@@ -172,7 +172,10 @@ def test_three_sets_skips_pairs_whose_known_counts_cover_z():
 
 def _searched_partitions():
     """The pair's and the triple's ``classify`` partitions of
-    ``_differential_inputs`` that ``stable_set_min_alpha4`` builds."""
+    ``_differential_inputs`` that ``stable_set_min_alpha4`` builds.  Each
+    triple pass is checked on the way: reading the pair's answers changes
+    nothing in its partition or its claw, and it asks exactly the (node,
+    anchor) pairs those answers leave open, in scan order."""
     for g, nodes in _differential_inputs():
         pair = stable_pair(g, nodes)
         if pair is None:
@@ -180,11 +183,30 @@ def _searched_partitions():
         known = classify(g, nodes, pair)
         yield g, known
         triple = extend_to_three(g, known)
-        if triple is not None:
-            try:
-                yield g, classify(g, nodes, triple, known=known)
-            except ClawWitnessError:
-                pass
+        if triple is None:
+            continue
+        asked = _AskedGraph([g.neighbors(v) for v in range(g.n)])
+        asked.log = []
+        try:
+            plain = classify(g, nodes, triple)
+        except ClawWitnessError as claw:
+            with pytest.raises(ClawWitnessError) as info:
+                classify(asked, nodes, triple, known=known)
+            assert (info.value.center, info.value.leaves) == (claw.center, claw.leaves)
+            assert asked.log == []
+            continue
+        cls = classify(asked, nodes, triple, known=known)
+        assert cls == plain
+        answered = {x for part in known.parts.values() for x in part}
+        scanned = {x for part in plain.parts.values() for x in part}
+        assert asked.log == [
+            (x, a)
+            for x in nodes
+            if x in scanned
+            for a in plain.anchors
+            if x not in answered or a not in known.anchors
+        ]
+        yield g, cls
 
 
 def test_three_sets_matches_the_every_pair_scan_and_never_asks_more():
@@ -514,20 +536,6 @@ def test_cycle_costs_the_same_queries_at_every_length():
         assert report.alpha_at_least_4 and is_stable_set(g, report.nodes)
         counts.add(g.counter.count)
     assert len(counts) == 1
-
-
-def test_alpha3_report_hits_are_the_keys_of_their_parts():
-    # Each hits entry is the key object of its node's part, so the record
-    # holds at most 6 tuples however many nodes the pass scanned.
-    g, _ = bench_instances([1024, 4096, 16384], seed=0)[2]  # bench --seed 0 at 2^14
-    report = stable_set_min_alpha4(g)
-    assert report.exact_alpha == 3
-    cls = report.classification
-    assert len(cls.hits) == g.n
-    part_of = {v: key for key, part in cls.parts.items() for v in part}
-    for v, hits in enumerate(cls.hits):
-        assert hits is None if v in cls.anchors else hits is part_of[v]
-    assert len({id(hits) for hits in cls.hits if hits is not None}) <= 6
 
 
 def test_edgeless_header_costs_a_few_queries():

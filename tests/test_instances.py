@@ -65,6 +65,11 @@ _EDGES_1000 = "p edge 49 1000\n" + "".join(
         ("p edge 2 1\nn 3 4\n", 2, "out of range"),
         ("p edge 2 1\nn 1 4.5\n", 2, "not an integer"),
         ("p edge 2 0\nn 1 4\nn 1 5\n", 3, "duplicate weight"),
+        # int() reads the digit separator in "1_0" as 10.
+        ("p edge 1_0 0\n", 1, "node count is not an integer"),
+        ("p edge 2 0\nn 1_1 7\n", 2, "node id is not an integer"),
+        ("p edge 2 0\nn 1 1_0\n", 2, "node weight is not an integer"),
+        ("p edge 10 1\ne 1_0 2\n", 2, "node id is not an integer"),
         ("p edge 2 1\ne 1 1\n", 2, "self-loop"),
         ("p edge 2 1\ne 1 3\n", 2, "out of range"),
         ("p edge 2 1\ne 1 2\ne 1 2\n", 3, "more than 1 edge lines"),
@@ -78,6 +83,12 @@ _EDGES_1000 = "p edge 49 1000\n" + "".join(
         pytest.param(_EDGES_1000 + "e 7 7\n", 1002, "self-loop", id="edges-loop"),
         pytest.param(_EDGES_1000 + "e 48 49\n", 1002, "more than 1000 edge", id="edges-count"),
         pytest.param(_EDGES_1000 + "p edge 49 1\n", 1002, "duplicate problem", id="edges-dup-p"),
+        pytest.param(
+            _EDGES_1000.replace(" 1000\n", " 1001\n", 1) + "e 1_0 2\n",
+            1002,
+            "node id is not an integer",
+            id="edges-underscore",
+        ),
     ],
 )
 def test_read_errors_carry_line_numbers(text, line, needle):
