@@ -80,8 +80,6 @@ def three_sets_stable(
     the same, and no mask is built that the unskipped scan would not build.
     Returns None when no triple exists.
     """
-    if not xs or not ys or not zs:
-        return None
     clique = OrderedCliquePrefix.build(g, zs)
     p = len(zs)
     masks = clique.masks

@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from math import isqrt, log2
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Sequence, TypeVar
 
 from .errors import ClawWitnessError, InstanceFormatError
 from .gen import (
@@ -38,6 +38,8 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_ALPHA_GE_4 = 2
 EXIT_NOT_CLAW_FREE = 3
+
+T = TypeVar("T")
 
 # The largest --max-n for which every spec sample_spec draws passes
 # generate: a complement_triangle_free instance on n nodes may have
@@ -229,6 +231,13 @@ class BenchRecord:
     store_bytes: int
 
 
+def _timed(stage: Callable[..., T], *args: object) -> tuple[T, int]:
+    """``stage(*args)`` and the ns it took."""
+    start = time.perf_counter_ns()
+    result = stage(*args)
+    return result, time.perf_counter_ns() - start
+
+
 def run_bench(sizes: Sequence[int], seed: int) -> list[BenchRecord]:
     """Solve the pinned scaling family, recording adjacency-query counts and
     the solve's time, plus the time of ``generate`` of each instance,
@@ -239,23 +248,15 @@ def run_bench(sizes: Sequence[int], seed: int) -> list[BenchRecord]:
     records = []
     for target in sizes:
         spec = GenSpec(kind="line_graph_cover3", size=target, seed=rng.next_u64())
-        t0 = time.perf_counter_ns()
-        g, weights, _ = generate(spec)
-        gen_ns = time.perf_counter_ns() - t0
+        (g, weights, _), gen_ns = _timed(generate, spec)
         view = g.with_counter()
-        t0 = time.perf_counter_ns()
-        mwss_alpha3(view, weights)
-        elapsed = time.perf_counter_ns() - t0
+        _, elapsed = _timed(mwss_alpha3, view, weights)
         queries = view.counter.count
         ratio = queries / (max(g.m, 1) * log2(g.n + 2))
-        t0 = time.perf_counter_ns()
-        text = write_instance(g, weights)
-        t1 = time.perf_counter_ns()
-        read_instance(text)
-        t2 = time.perf_counter_ns()
+        text, write_ns = _timed(write_instance, g, weights)
+        _, parse_ns = _timed(read_instance, text)
         claw_view = g.with_counter()
-        find_claw(claw_view)
-        t3 = time.perf_counter_ns()
+        _, validate_ns = _timed(find_claw, claw_view)
         records.append(
             BenchRecord(
                 instance=f"line_graph_cover3-{target}",
@@ -264,10 +265,10 @@ def run_bench(sizes: Sequence[int], seed: int) -> list[BenchRecord]:
                 queries=queries,
                 ns=elapsed,
                 ratio=ratio,
-                write_ns=t1 - t0,
-                parse_ns=t2 - t1,
+                write_ns=write_ns,
+                parse_ns=parse_ns,
                 gen_ns=gen_ns,
-                validate_ns=t3 - t2,
+                validate_ns=validate_ns,
                 validate_queries=claw_view.counter.count,
                 store_bytes=sum(sys.getsizeof(g.neighbors(v)) for v in range(g.n)),
             )

@@ -145,13 +145,13 @@ def _center_degree(size: int) -> int:
     most 3d + 3 nodes: a matching of 3, d - 1 leaves per center, and up to
     3 center-center edges.
     """
-    return max(1, isqrt(max(0, 2 * size) // 3))
+    return max(1, isqrt(2 * size // 3))
 
 
 def _gen_line_graph_cover3(spec: GenSpec, rng: SplitMix64) -> tuple[Graph, Certificate]:
     d = _center_degree(spec.size)
     extra = d - 1
-    pool = extra + max(1, extra // 2) if extra else 0
+    pool = extra + max(1, extra // 2)
 
     centers = [0, 1, 2]
     private = [3, 4, 5]

@@ -25,8 +25,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Sequence
 
-NodeWeights = Sequence[int]
-
 # Weights above this in magnitude are rejected so that any 3-node sum fits
 # comfortably in signed 64-bit arithmetic.
 WEIGHT_LIMIT = 1 << 61
@@ -211,11 +209,11 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
     return build_graph(len(kept), edges), idmap
 
 
-def total_weight(weights: NodeWeights, nodes: Iterable[int]) -> int:
+def total_weight(weights: Sequence[int], nodes: Iterable[int]) -> int:
     return sum(weights[v] for v in nodes)
 
 
-def check_weights(g: Graph, weights: NodeWeights) -> None:
+def check_weights(g: Graph, weights: Sequence[int]) -> None:
     """Enforce the library weight contract: one plain ``int`` per node (not
     a ``bool``), each of magnitude at most WEIGHT_LIMIT."""
     if len(weights) != g.n:

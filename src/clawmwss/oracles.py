@@ -27,7 +27,6 @@ def adjacency_masks(g: Graph) -> list[int]:
 
 def is_stable_set(g: Graph, nodes: Sequence[int]) -> bool:
     """Direct pairwise stability check via neighbor sets (uncounted)."""
-    nodes = list(nodes)
     for i, u in enumerate(nodes):
         nb = g.neighbor_set(u)
         for v in nodes[i + 1 :]:

@@ -22,7 +22,7 @@ from clawmwss.cardinality import (
 )
 from clawmwss.gen import GenSpec, SplitMix64, sample_spec
 from clawmwss.graph import is_null_to
-from clawmwss.oracles import brute_alpha_min4, is_stable_set
+from clawmwss.oracles import brute_alpha_min4, brute_is_clawfree, is_stable_set
 from clawmwss.structure import classify
 
 from helpers import (
@@ -362,6 +362,17 @@ def test_extend_to_four_examples():
     quad = extend_to_four(cycle(9), classify(cycle(9), range(9), (0, 2, 4)))
     assert quad is not None and is_stable_set(cycle(9), quad)
     assert extend_to_four(cycle(7), classify(cycle(7), range(7), (0, 2, 4))) is None
+    # Line graphs whose stable 4-sets all need the X node (9 nodes) or the Y
+    # node (8 nodes) that covers the fewest clique nodes: the one that
+    # covers the most leaves no gap.
+    for n, edges in (
+        (9, [(0, 1), (0, 4), (0, 5), (1, 6), (1, 8), (2, 3), (2, 7), (2, 8), (3, 5), (4, 5),
+             (6, 7), (6, 8), (7, 8)]),
+        (8, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 3), (2, 5), (3, 5), (3, 7), (4, 6), (5, 7)]),
+    ):
+        g = build_graph(n, edges)
+        assert brute_is_clawfree(g) is None
+        assert stable_set_min_alpha4(g).alpha_at_least_4
 
 
 def test_extend_to_four_surfaces_claw():
@@ -421,8 +432,6 @@ def test_report_matches_brute_alpha_on_random_instances():
 
 
 def test_report_exhaustive_small_graphs():
-    from clawmwss.oracles import brute_is_clawfree
-
     for n in range(0, 6):
         pairs = list(itertools.combinations(range(n), 2))
         for bits in range(1 << len(pairs)):

@@ -3,7 +3,8 @@ import os
 import platform
 import subprocess
 import sys
-from math import comb
+import time
+from math import comb, log2
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,9 @@ from clawmwss import (
     read_instance,
     write_instance,
 )
-from clawmwss.cli import BenchRecord, main, render_csv, run_bench, verify_instances
+from clawmwss.cli import (
+    BenchRecord, build_parser, main, render_csv, run_bench, verify_instances
+)
 from clawmwss.gen import GenSpec, SplitMix64
 from clawmwss.graph import NODE_LIMIT, build_graph
 
@@ -67,6 +70,14 @@ def test_solve_star_with_validate(tmp_path, capsys):
     path = _instance_file(tmp_path, "star.txt", star(3), [1] * 4)
     rc = main(["solve", "--input", path, "--validate"])
     assert rc == 3
+    assert capsys.readouterr().out == "NOT_CLAW_FREE center=1 leaves=2,3,4\n"
+    # With an isolated fifth node the solve alone finds a stable 4-set
+    # before any claw, so only --validate reports find_claw's claw.
+    path = tmp_path / "star_plus.txt"
+    path.write_text("p edge 5 3\ne 1 2\ne 1 3\ne 1 4\n", encoding="ascii")
+    assert main(["solve", "--input", str(path)]) == 2
+    assert capsys.readouterr().out == "ALPHA_GE_4 witness=2,3,4,5\n"
+    assert main(["solve", "--input", str(path), "--validate"]) == 3
     assert capsys.readouterr().out == "NOT_CLAW_FREE center=1 leaves=2,3,4\n"
 
 
@@ -207,6 +218,21 @@ def test_usage_error_exits_1_with_one_error_line(argv, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_each_left_out_option_takes_its_default():
+    parse = build_parser().parse_args
+    gen = parse(["gen", "--out", "f"])
+    assert (gen.kind, gen.size, gen.seed, gen.wlo, gen.whi, gen.certify) == (
+        "line_graph_cover3", 24, 0, 1, 100, False
+    )
+    verify = parse(["verify"])
+    assert (verify.count, verify.seed, verify.max_n, verify.dump) == (
+        1000, 0, 60, "verify-failure.instance"
+    )
+    bench = parse(["bench", "--out", "f"])
+    assert (bench.sizes, bench.seed, bench.json_out) == ("1024,4096,16384,65536,262144", 0, None)
+    assert parse(["solve", "--input", "f"]).validate is False
+
+
 def test_mutated_instance_files_end_in_one_line(tmp_path, capsys):
     path = tmp_path / "mutant.txt"
     for data in mutant_corpus():
@@ -304,8 +330,10 @@ def test_gen_output_solves(tmp_path, capsys):
 
 
 def test_verify_zero_count(capsys):
-    assert main(["verify", "--count", "0", "--seed", "1", "--max-n", "20"]) == 0
-    assert capsys.readouterr().out == "VERIFY total=0 pass=0 fail=0\n"
+    # --max-n runs from 3 to 4096; the values outside are usage errors.
+    for max_n in ("3", "20", "4096"):
+        assert main(["verify", "--count", "0", "--seed", "1", "--max-n", max_n]) == 0
+        assert capsys.readouterr().out == "VERIFY total=0 pass=0 fail=0\n"
 
 
 def test_verify_small_run(capsys):
@@ -319,15 +347,23 @@ def test_verify_harness_detects_injected_fault(tmp_path, capsys, monkeypatch):
 
     # The harness looks the solver up in the module on each call.
     monkeypatch.setattr(cli, "mwss_alpha3", broken)
-    assert len(verify_instances(25, seed=2, max_n=20)) == 25
+    failures = verify_instances(25, seed=2, max_n=20)
+    assert len(failures) == 25
+    # The seed fixes every draw: the first two specs, the second with
+    # negative weights.
+    assert [f.spec for f in failures[:2]] == [
+        GenSpec("cycle", 12, 1, 100, seed=14119491246550939236),
+        GenSpec("line_graph_cover3", 13, -50, 50, seed=13633754720362554755),
+    ]
 
     # Through the CLI, which dumps the first failure.
     dump = tmp_path / "dump.txt"
     rc = main(["verify", "--count", "3", "--seed", "2", "--max-n", "20",
                "--dump", str(dump)])
     assert rc == 1
-    out = capsys.readouterr().out
-    assert "fail=3" in out
+    captured = capsys.readouterr()
+    assert captured.out == "VERIFY total=3 pass=0 fail=3\n"
+    assert captured.err == f"first failure dumped to {dump}\n"
     assert dump.exists()
     dumped = dump.read_text(encoding="ascii")
     assert dumped.startswith("c verify failure #0")
@@ -390,8 +426,10 @@ def test_verify_unwritable_dump_reports_error(tmp_path, capsys, monkeypatch):
 
 def test_bench_records_and_csv(tmp_path, capsys):
     out, out_json = tmp_path / "bench.csv", tmp_path / "bench.json"
+    start = time.perf_counter_ns()
     rc = main(["bench", "--sizes", "64,256", "--seed", "1", "--out", str(out),
                "--json", str(out_json)])
+    wall_ns = time.perf_counter_ns() - start
     assert rc == 0
     lines = out.read_text(encoding="ascii").splitlines()
     assert lines[0] == "instance,n,m,queries,ns,ratio"
@@ -401,7 +439,7 @@ def test_bench_records_and_csv(tmp_path, capsys):
         assert len(fields) == 6
         assert int(fields[3]) > 0
         float(fields[5])
-    assert capsys.readouterr().out.startswith("RATIO min=")
+    printed = capsys.readouterr().out
 
     # The JSON file holds the same rows, plus what they were measured under.
     doc = json.loads(out_json.read_text(encoding="ascii"))
@@ -412,8 +450,15 @@ def test_bench_records_and_csv(tmp_path, capsys):
         for r in doc["records"]
     ]
     assert json_rows == lines[1:]
-    times = ("gen_ns", "write_ns", "parse_ns", "validate_ns")
+    # The summary line spans the records' ratios.
+    ratios = [r["ratio"] for r in doc["records"]]
+    lo, hi = min(ratios), max(ratios)
+    assert lo < hi
+    assert printed == f"RATIO min={lo:.6f} max={hi:.6f} spread={hi / lo:.3f}\n"
+    # Each stage is timed apart, inside the run.
+    times = ("gen_ns", "ns", "write_ns", "parse_ns", "validate_ns")
     assert all(r[k] > 0 for r in doc["records"] for k in times)
+    assert sum(r[k] for r in doc["records"] for k in times) < wall_ns
     # The claw check asks every neighbour pair of each centre of degree >= 3
     # once, and the store is one tuple header per node plus 8 bytes per arc.
     for r, (g, _) in zip(doc["records"], bench_instances([64, 256], seed=1)):
@@ -460,6 +505,10 @@ def test_run_bench_queries_are_deterministic():
     b = run_bench([128], seed=9)
     assert a[0].queries == b[0].queries
     assert a[0].instance == b[0].instance == "line_graph_cover3-128"
+    # The ratio is queries / (max(m, 1) * log2(n + 2)); size 0 has no edge.
+    edgeless = run_bench([0], seed=9)[0]
+    assert (edgeless.n, edgeless.m) == (3, 0)
+    assert edgeless.ratio == edgeless.queries / log2(5)
 
 
 def test_bench_query_counts_are_pinned():

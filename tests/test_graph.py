@@ -110,10 +110,10 @@ def test_adjacent_counts_every_call():
 
 def test_adjacent_range_check():
     g = cycle(5)
-    with pytest.raises(IndexError):
-        g.adjacent(0, 5)
-    with pytest.raises(IndexError):
-        g.adjacent(-1, 0)
+    for u, v in ((0, 5), (5, 0), (-1, 0)):
+        with pytest.raises(IndexError, match="node id out of range"):
+            g.adjacent(u, v)
+    assert g.counter.count == 0
 
 
 def test_adjacency_symmetric():
@@ -140,6 +140,10 @@ def test_clique_witness_examples():
     assert is_clique_or_witness(cycle(7), [0, 2]) == (0, 2)
     assert is_clique_or_witness(cycle(7), []) is None
     assert is_clique_or_witness(cycle(7), [3]) is None
+    # An id out of range fails as the oracle does, not as a list index.
+    for nodes in ([5, 0], [-1, 0]):
+        with pytest.raises(IndexError, match="node id out of range"):
+            is_clique_or_witness(cycle(5), nodes)
 
 
 def test_clique_rows_charge_what_the_pair_loop_charges():

@@ -8,8 +8,8 @@ import pytest
 from clawmwss import InstanceFormatError, generate, instances, read_instance, write_instance
 from clawmwss.cli import main
 from clawmwss.gen import GenSpec, SplitMix64, sample_spec
-from clawmwss.graph import NODE_LIMIT, WEIGHT_LIMIT
-from clawmwss.instances import dump_instance
+from clawmwss.graph import NODE_LIMIT
+from clawmwss.instances import BATCH_HINT, dump_instance
 
 from helpers import (
     assert_right_sized_store,
@@ -22,10 +22,20 @@ from helpers import (
 
 
 def test_read_minimal_with_default_weights():
-    g, w = read_instance("p edge 2 1\ne 1 2\n")
-    assert (g.n, g.m) == (2, 1)
-    assert w == [1, 1]
-    assert g.adjacent(0, 1)
+    for text in ("p edge 2 1\ne 1 2\n", "p edge 2 1\ne 2 1\n"):
+        g, w = read_instance(text)
+        assert (g.n, g.m) == (2, 1)
+        assert w == [1, 1]
+        assert g.adjacent(0, 1)
+    g, w = read_instance("p edge 0 0\n")
+    assert (g.n, g.m, w) == (0, 0, [])
+
+
+def test_read_accepts_the_node_cap_itself(monkeypatch):
+    monkeypatch.setattr(instances, "NODE_LIMIT", 10)
+    assert read_instance("p edge 10 0\n")[0].n == 10
+    with pytest.raises(InstanceFormatError, match="node count 11 exceeds 10"):
+        read_instance("p edge 11 0\n")
 
 
 def test_read_weight_line_is_one_based():
@@ -55,7 +65,11 @@ _EDGES_1000 = "p edge 49 1000\n" + "".join(
     "text,line,needle",
     [
         ("e 1 2\n", 1, "before problem line"),
+        ("n 1 5\np edge 2 0\n", 1, "weight line before problem line"),
         ("p edge 2 1\np edge 2 1\n", 2, "duplicate problem line"),
+        ("p edge 0 0\np edge 0 0\n", 2, "duplicate problem line"),
+        ("p edge 0 0\nn 1 5\n", 2, "node id 1 out of range 1..0"),
+        ("p edge 0 1\ne 1 2\n", 2, "out of range 1..0"),
         ("p edge x 1\n", 1, "not an integer"),
         ("p edge 2\n", 1, "malformed problem line"),
         ("p node 2 1\n", 1, "malformed problem line"),
@@ -89,6 +103,14 @@ _EDGES_1000 = "p edge 49 1000\n" + "".join(
             "node id is not an integer",
             id="edges-underscore",
         ),
+        # A long comment closes the first batch; the second holds only the
+        # two edge lines, the self-loop last.
+        pytest.param(
+            "p edge 5 3\ne 1 2\nc " + "x" * BATCH_HINT + "\ne 2 3\ne 4 4\n",
+            5,
+            "self-loop",
+            id="batch-loop",
+        ),
     ],
 )
 def test_read_errors_carry_line_numbers(text, line, needle):
@@ -99,12 +121,13 @@ def test_read_errors_carry_line_numbers(text, line, needle):
 
 
 def test_read_rejects_huge_weights():
-    too_big = WEIGHT_LIMIT + 1
-    with pytest.raises(InstanceFormatError, match="magnitude"):
-        read_instance(f"p edge 1 0\nn 1 {too_big}\n")
-    # The limit itself is fine.
-    _, w = read_instance(f"p edge 1 0\nn 1 {WEIGHT_LIMIT}\n")
-    assert w == [WEIGHT_LIMIT]
+    # The README's bound, 2^61 in magnitude, written out.
+    for too_big in (2**61 + 1, -(2**61) - 1):
+        with pytest.raises(InstanceFormatError, match="magnitude"):
+            read_instance(f"p edge 1 0\nn 1 {too_big}\n")
+    for limit in (2**61, -(2**61)):
+        _, w = read_instance(f"p edge 1 0\nn 1 {limit}\n")
+        assert w == [limit]
 
 
 def test_write_then_read_identity_on_random_instances():

@@ -12,7 +12,7 @@ from clawmwss.gen import (
     sample_spec,
     verify_certificate,
 )
-from clawmwss.graph import NODE_LIMIT, WEIGHT_LIMIT, induced_subgraph
+from clawmwss.graph import NODE_LIMIT, induced_subgraph
 from clawmwss.oracles import (
     brute_alpha_min4,
     brute_is_clawfree,
@@ -161,35 +161,56 @@ def test_generate_is_deterministic_and_seed_sensitive():
     )
     g3, w3, _ = generate(GenSpec("line_graph_cover3", size=120, seed=100))
     assert edge_set(g1) != edge_set(g3) or w1 != w3
+    # A spec that names no seed takes seed 0.
+    assert generate(GenSpec("line_graph_cover3", size=120))[1] == generate(
+        GenSpec("line_graph_cover3", size=120, seed=0)
+    )[1]
 
 
-def test_generate_rejects_bad_specs():
+def test_generate_rejects_bad_specs(monkeypatch):
     with pytest.raises(ValueError):
         generate(GenSpec("cycle", size=2, seed=0))
     with pytest.raises(ValueError):
         generate(GenSpec("no_such_kind", size=5, seed=0))
     with pytest.raises(ValueError):
         generate(GenSpec("cycle", size=5, weight_lo=3, weight_hi=2, seed=0))
+    with pytest.raises(ValueError, match="empty weight range"):
+        generate(GenSpec("cycle", 5, 5, 1))
+    assert generate(GenSpec("cycle", 5, 7, 7))[1] == [7] * 5
     # Exactly what read_instance accepts: weights up to 2^61 in magnitude
     # and at most 2^20 nodes.  The values just above each cap are refused
     # before anything is allocated.
-    _, weights, _ = generate(GenSpec("cycle", 5, -WEIGHT_LIMIT, WEIGHT_LIMIT, seed=0))
-    assert max(map(abs, weights)) <= WEIGHT_LIMIT
-    for lo, hi in ((-WEIGHT_LIMIT - 1, 0), (0, WEIGHT_LIMIT + 1)):
-        with pytest.raises(ValueError):
+    _, weights, _ = generate(GenSpec("cycle", 5, -(2**61), 2**61, seed=0))
+    assert max(map(abs, weights)) <= 2**61
+    for lo, hi in ((-(2**61) - 1, 0), (0, 2**61 + 1)):
+        with pytest.raises(ValueError, match="magnitude"):
             generate(GenSpec("cycle", size=5, weight_lo=lo, weight_hi=hi, seed=0))
     for kind in ("cycle", "complement_triangle_free"):
         with pytest.raises(ValueError):
             generate(GenSpec(kind, size=NODE_LIMIT + 1, seed=0))
-    # The smallest line_graph_cover3 size whose bound 3d + 3 passes 2^20.
-    with pytest.raises(ValueError):
+    # The smallest line_graph_cover3 size whose bound 3d + 3 passes 2^20;
+    # one size less is refused only for its edges.
+    with pytest.raises(ValueError, match=f"exceed {NODE_LIMIT} nodes"):
         generate(GenSpec("line_graph_cover3", size=183_251_588_438, seed=0))
+    with pytest.raises(ValueError, match=f"exceed {EDGE_LIMIT} edges"):
+        generate(GenSpec("line_graph_cover3", size=183_251_588_437, seed=0))
     # The smallest sizes whose edge bound passes EDGE_LIMIT = 2^23:
     # 3 * C(d + 2, 2) + 5d at d = 2362, and C(4097, 2).
     assert EDGE_LIMIT == 1 << 23
     for kind, size in (("line_graph_cover3", 8_368_566), ("complement_triangle_free", 4097)):
         with pytest.raises(ValueError, match=f"exceed {EDGE_LIMIT} edges"):
             generate(GenSpec(kind, size=size, seed=0))
+    # 2^20 nodes pass the node cap, and the edges then fail.
+    with pytest.raises(ValueError, match=f"exceed {EDGE_LIMIT} edges"):
+        generate(GenSpec("complement_triangle_free", size=NODE_LIMIT, seed=0))
+    # The same bounds at a cap small enough to build: the line_graph_cover3
+    # bound is 88 at d = 5 (sizes 38..53) and 114 at d = 6, and C(13, 2) =
+    # 78, C(14, 2) = 91.
+    monkeypatch.setattr(gen, "EDGE_LIMIT", 88)
+    for kind, size in (("line_graph_cover3", 53), ("complement_triangle_free", 13)):
+        assert generate(GenSpec(kind, size=size, seed=0))[0].m <= 88
+        with pytest.raises(ValueError, match="exceed 88 edges"):
+            generate(GenSpec(kind, size=size + 1, seed=0))
 
 
 def test_generator_outputs_are_certified_claw_free():
@@ -209,6 +230,10 @@ def test_generator_outputs_are_certified_claw_free():
             assert alpha == min(cert.alpha_bound, 4)
         else:
             assert alpha <= cert.alpha_bound
+    # The node cap holds down to the smallest cap verify takes.
+    for max_n in range(3, 9):
+        for _ in range(50):
+            assert generate(sample_spec(rng, max_n, negative_weights=False))[0].n <= max_n
 
 
 def test_line_graphs_of_random_hosts_are_claw_free():
@@ -316,6 +341,11 @@ CORRUPTIONS = {
         lambda g, c: (g, _with_detail(c, part=c.detail["part"][:-1])),
     ),
     "stays inside part": ("complement_triangle_free", 12, _flip_part_of_node_with_non_neighbour),
+    # The only bad non-edge joins two consecutive ids.
+    "stays inside part 0": (
+        "complement_triangle_free", 12,
+        lambda g, c: (build_graph(3, [(0, 2), (1, 2)]), _with_detail(c, part=[0, 0, 1])),
+    ),
     "cycle certificate size mismatch": (
         "cycle", 7, lambda g, c: (g, _with_detail(c, length=8)),
     ),
@@ -381,6 +411,13 @@ def test_verify_certificate_checks_only_the_structure_above_80_nodes(monkeypatch
     verify_certificate(g, cert)
     with pytest.raises(ValueError, match="claimed disjoint host edges share an endpoint"):
         verify_certificate(g, _with_detail(cert, disjoint=[0, 3]))
+    # The oracle runs up to 80 nodes exactly.
+    sizes = []
+    monkeypatch.setattr(gen, "brute_alpha_min4", lambda g: sizes.append(g.n) or 4)
+    for n in (80, 81):
+        g, _, cert = generate(GenSpec("cycle", n, seed=0))
+        verify_certificate(g, cert)
+    assert sizes == [80]
 
 
 def test_cycle_certificates_are_exact():
@@ -403,6 +440,6 @@ def test_complement_triangle_free_alpha_at_most_2():
 def test_brute_stable_helpers():
     g = cycle(6)
     assert is_stable_set(g, (0, 2, 4))
-    assert not is_stable_set(g, (0, 1))
-    assert not is_stable_set(g, (0, 0))
+    assert is_stable_set(g, (0, 1)) is False
+    assert is_stable_set(g, (0, 0)) is False
     assert is_stable_set(g, ())

@@ -14,7 +14,7 @@ from clawmwss import (
 )
 from clawmwss import weighted
 from clawmwss.gen import SplitMix64, sample_spec
-from clawmwss.graph import WEIGHT_LIMIT, induced_subgraph
+from clawmwss.graph import induced_subgraph
 from clawmwss.oracles import (
     brute_alpha_min4,
     brute_is_clawfree,
@@ -466,6 +466,16 @@ def test_type_iii_c7_and_four_cycle_shape():
     nodes, weight = mwss_type_iii(g, weights, cls)
     assert (nodes, weight) == ((3, 4, 5), 9)
 
+    # Anchor 0's exclusive set gains node 6, the heaviest, so it joins the
+    # pair {4, 5} in place of node 3.
+    g = build_graph(7, [(0, 3), (1, 4), (2, 4), (1, 5), (2, 5), (0, 6), (3, 6)])
+    assert brute_is_clawfree(g) is None
+    cls = classify(g, range(g.n), (0, 1, 2))
+    assert cls.exclusive_to(0) == (3, 6)
+    weights = [1, 1, 1, 2, 3, 4, 5]
+    assert mwss_type_iii(g, weights, cls) == ((4, 5, 6), 12)
+    assert mwss_alpha3(g, weights) == Optimal(nodes=(4, 5, 6), weight=12)
+
 
 def test_type_iii_four_cycle_contributes_nothing_for_clique_pair_set():
     g = build_graph(6, [(0, 3), (1, 4), (2, 4), (1, 5), (2, 5), (4, 5)])
@@ -557,11 +567,14 @@ def test_mwss_alpha3_weight_vector_length_checked():
 
 def test_mwss_alpha3_enforces_weight_contract():
     c7 = cycle(7)
-    for bad in ([0.5 + i for i in range(7)], [1 << 70] * 7, [True] * 7):
+    for bad in (
+        [0.5 + i for i in range(7)], [1 << 70] * 7, [True] * 7, [2**61 + 1] * 7, [-(2**61) - 1] * 7
+    ):
         with pytest.raises(ValueError):
             mwss_alpha3(c7, bad)
-    out = mwss_alpha3(c7, [-WEIGHT_LIMIT] + [WEIGHT_LIMIT] * 6)
-    assert out == Optimal(nodes=(1, 3, 5), weight=3 * WEIGHT_LIMIT, dropped_negative=1)
+    # The README's bound, 2^61 in magnitude, is accepted.
+    out = mwss_alpha3(c7, [-(2**61)] + [2**61] * 6)
+    assert out == Optimal(nodes=(1, 3, 5), weight=3 * 2**61, dropped_negative=1)
 
 
 def test_mwss_alpha3_reports_claw_in_input_ids():
