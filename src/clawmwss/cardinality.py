@@ -210,7 +210,8 @@ def extend_to_four(g: Graph, cls: Classification) -> tuple[int, int, int, int] |
 
 def stable_set_min_alpha4(g: Graph, nodes: Sequence[int] | None = None) -> StableSetReport:
     """Stable set of size min(alpha, 4) of the claw-free subgraph of g
-    induced by ``nodes``, given in ascending ids (None: all of g).
+    induced by ``nodes`` (None: all of g), which must be strictly ascending
+    ``int`` ids of g, else ValueError.
 
     The search asks only adjacencies among ``nodes`` and builds no graph.
     Its two ``classify`` passes ask each (node, anchor) adjacency at most
@@ -227,6 +228,12 @@ def stable_set_min_alpha4(g: Graph, nodes: Sequence[int] | None = None) -> Stabl
     """
     if nodes is None:
         nodes = range(g.n)
+    # A range is decided by its two ends, so it is checked in O(1).
+    prev = -1
+    for v in nodes[:: max(len(nodes) - 1, 1)] if isinstance(nodes, range) else nodes:
+        if type(v) is not int or not prev < v < g.n:
+            raise ValueError(f"nodes must be strictly ascending int ids in range({g.n}), got {v!r}")
+        prev = v
     if not nodes:
         return StableSetReport(())
     pair = stable_pair(g, nodes)

@@ -69,15 +69,16 @@ def classify(
     order, at most |T| adjacency queries per node.  The pass returns at its
     first detached node, the only one the cardinality phase reads, so the
     partition covers only the nodes up to it (all of them when there is
-    none).  T must be stable and is not rechecked: the cardinality phase
-    builds every anchor set stable (``stable_set_min_alpha4`` asserts its
-    result).  For |T| = 3 raises ClawWitnessError, before it asks anything,
-    if some node is adjacent to all three anchors: the first such node of
-    ``nodes``, found in the intersection of the anchors' stored neighbor
-    tuples, is the center of a claw whose leaves are T.  That read is
-    uncounted, like ``stable_pair``'s: it only names a claw, and on the
-    claw-free input the solvers assume it finds none.  It takes O(deg)
-    time, plus a scan of ``nodes`` when the anchors share a neighbor.
+    none).  T must be a stable set of 2 or 3 nodes and is not rechecked:
+    the cardinality phase builds every anchor set from strictly ascending
+    ids and stable (``stable_set_min_alpha4`` asserts its result).  For
+    |T| = 3 raises ClawWitnessError, before it asks anything, if some node
+    is adjacent to all three anchors: the first such node of ``nodes``,
+    found in the intersection of the anchors' stored neighbor tuples, is
+    the center of a claw whose leaves are T.  That read is uncounted, like
+    ``stable_pair``'s: it only names a claw, and on the claw-free input the
+    solvers assume it finds none.  It takes O(deg) time, plus a scan of
+    ``nodes`` when the anchors share a neighbor.
 
     ``known`` is an earlier partition in the same graph: a node it filed
     reads its adjacency to the anchors of both partitions from its part's
@@ -85,11 +86,6 @@ def classify(
     """
     t = tuple(sorted(anchors))
     t_members = set(t)
-    if len(t_members) != len(t):
-        raise ValueError(f"duplicate anchor in {list(t)}")
-    if len(t) not in (2, 3):
-        raise ValueError(f"anchor set must have size 2 or 3, got {len(t)}")
-
     if len(t) == 3:
         a, b, c = map(g.neighbors, t)
         centers = set(a).intersection(b, c)

@@ -6,6 +6,7 @@ import itertools
 import sys
 
 from clawmwss import ClawWitnessError, Graph, StableSetReport, build_graph, generate, write_instance
+from clawmwss import stable_set_min_alpha4
 from clawmwss.graph import OrderedCliquePrefix
 from clawmwss.cardinality import extend_to_four, extend_to_three, stable_pair
 from clawmwss.gen import GenSpec, SplitMix64, sample_spec
@@ -86,6 +87,103 @@ def random_clawfree(rng: SplitMix64, max_n: int, negative_weights: bool = False)
     spec = sample_spec(rng, max_n, negative_weights)
     g, weights, _ = generate(spec)
     return g, weights, spec
+
+
+MAX_REJECTS = 200
+
+
+def exact_alpha3(g: Graph) -> StableSetReport | None:
+    """The ``stable_set_min_alpha4`` report of g when alpha(g) = 3, else None."""
+    report = stable_set_min_alpha4(g)
+    return report if report.exact_alpha == 3 else None
+
+
+def alpha3_instances(
+    rng: SplitMix64, max_n: int, keep=exact_alpha3, negative: bool = False, draw=None
+):
+    """The draws that ``keep`` accepts, lazily and in draw order, as
+    (graph, weights, extra, kept) with kept = ``keep(graph)``, not None.
+
+    Each draw is ``draw(rng, max_n, negative)`` -> (graph, weights, extra),
+    ``random_clawfree`` by default.  ``MAX_REJECTS`` rejected draws in a row
+    raise AssertionError, so a fault that stops inputs from qualifying fails
+    the caller instead of hanging it."""
+    seed = rng._state
+    rejects = 0
+    while True:
+        g, weights, extra = (draw or random_clawfree)(rng, max_n, negative)
+        kept = keep(g)
+        if kept is not None:
+            rejects = 0
+            yield g, weights, extra, kept
+            continue
+        rejects += 1
+        if rejects == MAX_REJECTS:
+            raise AssertionError(f"{rejects} draws in a row from SplitMix64({seed:#x}) rejected")
+
+
+ARC_CIRCLE = 1000
+
+
+def _arc_offset(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """How far round the circle arc b = (start, length) starts past arc a."""
+    return (b[0] - a[0]) % ARC_CIRCLE
+
+
+def arc_inside(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Whether arc b lies inside arc a, across the wrap too."""
+    return _arc_offset(a, b) + b[1] <= a[1]
+
+
+def arcs_meet(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    return _arc_offset(a, b) <= a[1] or _arc_offset(b, a) <= b[1]
+
+
+def proper_arcs(rng: SplitMix64, max_n: int, negative_weights: bool = False):
+    """A proper circular-arc graph with alpha = 3 and at most max_n nodes:
+    (graph, weights, (arcs, points, disjoint)).
+
+    Node v is the arc ``arcs[v]`` = (start, length) on a circle of
+    ARC_CIRCLE units; two nodes are adjacent when their arcs meet, and no
+    arc lies inside another, so the graph is claw-free.  The arcs
+    ``disjoint`` meet pairwise nowhere, so alpha >= 3: the k-th starts
+    within 30 units past k thirds of the circle and is 220..299 units
+    long.  Each of the three ``points`` lies in one of them, and every
+    other arc holds one point too, so three cliques cover the graph:
+    alpha <= 3.  An arc that would lie inside another or hold one is drawn
+    again, at most 4 * max_n draws in all."""
+    arcs = [(k * ARC_CIRCLE // 3 + rng.below(30), 220 + rng.below(80)) for k in range(3)]
+    disjoint = list(arcs)
+    points = [start + rng.below(length + 1) for start, length in arcs]
+    n = 4 + rng.below(max_n - 3)
+    for _ in range(4 * max_n):
+        if len(arcs) == n:
+            break
+        length = 250 + rng.below(250)
+        arc = ((points[rng.below(3)] - rng.below(length + 1)) % ARC_CIRCLE, length)
+        if not any(arc_inside(a, arc) or arc_inside(arc, a) for a in arcs):
+            arcs.append(arc)
+    for i in range(len(arcs) - 1, 0, -1):
+        j = rng.below(i + 1)
+        arcs[i], arcs[j] = arcs[j], arcs[i]
+    pairs = itertools.combinations(range(len(arcs)), 2)
+    g = build_graph(len(arcs), [(u, v) for u, v in pairs if arcs_meet(arcs[u], arcs[v])])
+    lo, hi = (-50, 50) if negative_weights else (1, 100)
+    weights = [rng.randint(lo, hi) for _ in arcs]
+    return g, weights, (arcs, points, sorted(map(arcs.index, disjoint)))
+
+
+def arc_draws(count: int = 200):
+    """The seeded ``proper_arcs`` draws that the arc tests read, as
+    ``alpha3_instances`` tuples whose kept value is the draw's
+    ``stable_set_min_alpha4`` report: ``count`` with weights 1..100, then
+    ``count`` with weights -50..50.  Every draw is kept, as its
+    certificates prove alpha = 3."""
+    for negative in (False, True):
+        draws = alpha3_instances(
+            SplitMix64(0xA2C5 + negative), 60, stable_set_min_alpha4, negative, proper_arcs
+        )
+        yield from itertools.islice(draws, count)
 
 
 def brute_mwss_full(g: Graph, weights) -> tuple[tuple[int, ...], int]:

@@ -26,9 +26,11 @@ from clawmwss.oracles import brute_alpha_min4, brute_is_clawfree, is_stable_set
 from clawmwss.structure import classify
 
 from helpers import (
+    alpha3_instances,
     bench_instances,
     complete,
     cycle,
+    exact_alpha3,
     min_alpha4_by_full_passes,
     random_clawfree,
     random_graph,
@@ -83,48 +85,33 @@ def _triple_configs(g, cls):
         yield cls.exclusive_to(a), cls.shared_by(a, b), cls.exclusive_to(b)
 
 
-def _stable_triples_brute(g, xs, ys, zs):
-    found = []
-    for x in xs:
-        for y in ys:
-            if y in g.neighbor_set(x):
-                continue
-            for z in zs:
-                if z not in g.neighbor_set(x) and z not in g.neighbor_set(y):
-                    found.append((x, y, z))
-    return found
+def _stable_sets_brute(g, *sets):
+    """The stable sets with one node from each of ``sets``, in scan order."""
+    return [t for t in itertools.product(*sets) if is_stable_set(g, t)]
 
 
 def test_three_sets_agrees_with_exhaustive_scan():
-    rng = SplitMix64(42)
     checked = 0
-    while checked < 400:
-        g, _, _ = random_clawfree(rng, 30)
-        report = stable_set_min_alpha4(g)
-        if report.exact_alpha != 3:
-            continue
+    for g, _, _, report in alpha3_instances(SplitMix64(42), 30):
         cls = classify(g, range(g.n), report.nodes)
         for xs, ys, zs in _triple_configs(g, cls):
             result = three_sets_stable(g, xs, ys, zs)
-            brute = _stable_triples_brute(g, xs, ys, zs)
+            brute = _stable_sets_brute(g, xs, ys, zs)
             assert (result is None) == (not brute)
             if result is not None:
                 x, y, z = result
                 assert x in xs and y in ys and z in zs
                 assert is_stable_set(g, result)
             checked += 1
+        if checked >= 400:
+            break
 
 
 def test_coverage_criterion_iff_completion_exists():
     # A non-adjacent pair extends into the clique iff the pair's
     # neighborhoods leave it uncovered; both directions by brute force.
-    rng = SplitMix64(43)
     checked = 0
-    while checked < 200:
-        g, _, _ = random_clawfree(rng, 30)
-        report = stable_set_min_alpha4(g)
-        if report.exact_alpha != 3:
-            continue
+    for g, _, _, report in alpha3_instances(SplitMix64(43), 30):
         cls = classify(g, range(g.n), report.nodes)
         for xs, ys, zs in _triple_configs(g, cls):
             if not zs:
@@ -143,6 +130,8 @@ def test_coverage_criterion_iff_completion_exists():
                     )
                     assert extends == (hits[x] + hits[y] < len(zs))
             checked += 1
+        if checked >= 200:
+            break
 
 
 def test_three_sets_asks_only_the_pairs_when_x_is_complete_to_y():
@@ -274,17 +263,18 @@ def test_extend_to_four_checks_each_pair_of_sets_once(monkeypatch):
             checked.append(frozenset((tuple(a), tuple(b))))
         return is_null_to(g, a, b)
 
-    monkeypatch.setattr(cardinality, "is_null_to", logged_is_null_to)
-    rng = SplitMix64(45)
-    three_middles = alpha3 = 0
-    inputs = [g for g, _ in bench_instances([1024, 4096], seed=0)]
-    while alpha3 < 300:
-        g = inputs.pop() if inputs else random_clawfree(rng, 40)[0]
+    def keep(g):
         checked.clear()
-        report = stable_set_min_alpha4(g)
-        if report.exact_alpha != 3:
-            continue
-        alpha3 += 1
+        return exact_alpha3(g)
+
+    monkeypatch.setattr(cardinality, "is_null_to", logged_is_null_to)
+    bench = [g for g, _ in bench_instances([1024, 4096], seed=0)]
+    reports = itertools.chain(
+        ((g, report) for g in reversed(bench) if (report := keep(g)) is not None),
+        ((g, report) for g, _, _, report in alpha3_instances(SplitMix64(45), 40, keep)),
+    )
+    three_middles = 0
+    for g, report in itertools.islice(reports, 300):
         assert len(set(checked)) == len(checked), "a pair of sets was checked twice"
         s, t, u = report.classification.anchors
         shared = report.classification.shared_by
@@ -292,32 +282,9 @@ def test_extend_to_four_checks_each_pair_of_sets_once(monkeypatch):
     assert three_middles > 50
 
 
-def _stable_quads_brute(g, xs, ys, zs, ws):
-    for x in xs:
-        for y in ys:
-            if y in g.neighbor_set(x):
-                continue
-            for z in zs:
-                if z in g.neighbor_set(x) or z in g.neighbor_set(y):
-                    continue
-                for w in ws:
-                    if (
-                        w not in g.neighbor_set(x)
-                        and w not in g.neighbor_set(y)
-                        and w not in g.neighbor_set(z)
-                    ):
-                        return (x, y, z, w)
-    return None
-
-
 def test_four_sets_agrees_with_exhaustive_scan():
-    rng = SplitMix64(44)
     checked = 0
-    while checked < 300:
-        g, _, _ = random_clawfree(rng, 30)
-        report = stable_set_min_alpha4(g)
-        if report.exact_alpha != 3:
-            continue
+    for g, _, _, report in alpha3_instances(SplitMix64(44), 30):
         cls = classify(g, range(g.n), report.nodes)
         s, t, u = cls.anchors
         for b in (s, t, u):
@@ -329,13 +296,15 @@ def test_four_sets_agrees_with_exhaustive_scan():
             if not ws:
                 continue
             result = four_sets_stable(g, xs, ys, zs, ws)
-            brute = _stable_quads_brute(g, xs, ys, zs, ws)
-            assert (result is None) == (brute is None)
+            brute = _stable_sets_brute(g, xs, ys, zs, ws)
+            assert (result is None) == (not brute)
             if result is not None:
                 x, y, z, w = result
                 assert x in xs and y in ys and z in zs and w in ws
                 assert is_stable_set(g, result)
             checked += 1
+        if checked >= 300:
+            break
 
 
 def test_extend_to_three_examples():
@@ -385,23 +354,19 @@ def test_extend_to_four_surfaces_claw():
     assert (info.value.center, info.value.leaves) == (3, (0, 1, 2))
 
 
+def _stable_triple(g):
+    pair = stable_pair(g, range(g.n))
+    return None if pair is None else extend_to_three(g, classify(g, range(g.n), pair))
+
+
 def test_extend_to_four_matches_brute_alpha():
-    rng = SplitMix64(46)
-    checked = 0
-    while checked < 400:
-        g, _, _ = random_clawfree(rng, 30)
-        pair = stable_pair(g, range(g.n))
-        if pair is None:
-            continue
-        triple = extend_to_three(g, classify(g, range(g.n), pair))
-        if triple is None:
-            continue
+    draws = alpha3_instances(SplitMix64(46), 30, keep=_stable_triple)
+    for g, _, _, triple in itertools.islice(draws, 400):
         quad = extend_to_four(g, classify(g, range(g.n), triple))
         alpha = brute_alpha_min4(g)
         assert (quad is None) == (alpha == 3)
         if quad is not None:
             assert is_stable_set(g, quad) and len(set(quad)) == 4
-        checked += 1
 
 
 def test_report_examples():
@@ -420,6 +385,8 @@ def test_report_examples():
     assert stable_set_min_alpha4(cycle(9), [1, 2, 3]).nodes == (1, 3)
     assert stable_set_min_alpha4(cycle(9), range(1, 8)).nodes == (1, 3, 5, 7)
     assert stable_set_min_alpha4(cycle(9), range(1, 7)).exact_alpha == 3
+    assert stable_set_min_alpha4(cycle(9), range(8, 9)).nodes == (8,)
+    assert stable_set_min_alpha4(cycle(9), range(0, 9, 4)).nodes == (0, 4)
 
 
 def test_report_matches_brute_alpha_on_random_instances():
@@ -444,12 +411,30 @@ def test_report_exhaustive_small_graphs():
             assert is_stable_set(g, report.nodes)
 
 
-def test_classify_takes_plain_iterables_and_rejects_duplicate_anchors():
+def test_classify_takes_plain_iterables():
     g = cycle(7)
     assert classify(g, range(g.n), [2, 0]).shared_by(0, 2) == (1,)
     assert classify(g, range(g.n), (v for v in (4, 0, 2))).exclusive_to(0) == (6,)
-    with pytest.raises(ValueError, match="duplicate anchor"):
-        classify(g, range(g.n), [0, 2, 2])
+
+
+_MALFORMED_NODES = {
+    "repeated": ([0, 1, 1, 2, 2, 3, 3, 4], (0, 2, 2)),
+    "descending": ([4, 3, 2, 1, 0], range(2, 0, -1)),
+    "id_at_least_n": ([0, 5], range(6)),
+    "negative": ([-1, 0, 1], range(-1, 5)),
+    "non_int": ([0, 1.0, 2], [False, 1, 2], ["0"]),
+}
+
+
+@pytest.mark.parametrize("kind", _MALFORMED_NODES)
+def test_min_alpha4_refuses_malformed_nodes(kind):
+    # With the repeated ids, the search on this graph once ended in
+    # ``duplicate anchor`` and, under ``python -O``, returned (2, 3, 3, 4).
+    g = Graph([(1, 3), (0, 3, 4), (), (0, 1), (1,)])
+    for nodes in _MALFORMED_NODES[kind]:
+        with pytest.raises(ValueError, match="strictly ascending int ids"):
+            stable_set_min_alpha4(g, nodes)
+    assert g.counter.count == 0
 
 
 class _AskedGraph(Graph):

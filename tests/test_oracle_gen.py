@@ -176,6 +176,9 @@ def test_generate_rejects_bad_specs(monkeypatch):
         generate(GenSpec("cycle", size=5, weight_lo=3, weight_hi=2, seed=0))
     with pytest.raises(ValueError, match="empty weight range"):
         generate(GenSpec("cycle", 5, 5, 1))
+    # Without its own check, a negative size would give a one-node graph.
+    with pytest.raises(ValueError, match="negative size"):
+        generate(GenSpec("complement_triangle_free", -1))
     assert generate(GenSpec("cycle", 5, 7, 7))[1] == [7] * 5
     # Exactly what read_instance accepts: weights up to 2^61 in magnitude
     # and at most 2^20 nodes.  The values just above each cap are refused

@@ -7,7 +7,10 @@ on the whole graph.  The corpus is about 4,000 random 4-16-node graphs with
 weights -8..12, claw inputs included, and 1,000 ``sample_spec(max_n 60)``
 instances, half of them with negative weights.
 
-A change that moves a line must say why.  To rewrite the file, run
+``arc_result_lines.txt`` holds the same lines for the proper circular-arc
+draws of ``helpers.arc_draws``.
+
+A change that moves a line must say why.  To rewrite both files, run
 ``PYTHONPATH=src:tests python tests/test_result_lines.py``.
 """
 
@@ -21,9 +24,12 @@ from clawmwss import AlphaAtLeast4, ClawWitnessError, find_claw, generate, mwss_
 from clawmwss import stable_set_min_alpha4
 from clawmwss.gen import SplitMix64, sample_spec
 
-from helpers import random_graph
+from helpers import arc_draws, random_graph
 
 LINES = Path(__file__).with_name("result_lines.txt")
+# Pinned apart, so the corpus above and its totals stay as they are;
+# ``tests/test_proper_arcs.py`` reads it.
+ARC_LINES = Path(__file__).with_name("arc_result_lines.txt")
 
 # The adjacency queries over the whole corpus of ``mwss_alpha3``, ``find_claw``
 # and ``stable_set_min_alpha4``, in that order.
@@ -46,6 +52,12 @@ def _corpus():
         spec = sample_spec(rng, 60, negative_weights=bool(i % 2))
         g, weights, _ = generate(spec)
         yield f"spec{i} {spec.kind} size={spec.size} seed={spec.seed}", g, weights
+
+
+def arc_corpus():
+    """(label, graph, weights) for each proper circular-arc draw."""
+    for i, (g, weights, _, _) in enumerate(arc_draws()):
+        yield f"arc{i} n={g.n}", g, weights
 
 
 def _result_line(label, g, weights) -> tuple[str, tuple[int, int, int]]:
@@ -96,5 +108,8 @@ def test_corpus_query_total_is_pinned():
 
 if __name__ == "__main__":
     lines, queries = _run()
-    LINES.write_text("".join(line + "\n" for line in lines), encoding="ascii")
-    print(f"wrote {len(lines)} lines to {LINES}; queries {queries}", file=sys.stderr)
+    arc_lines = [_result_line(*item)[0] for item in arc_corpus()]
+    for path, text in ((LINES, lines), (ARC_LINES, arc_lines)):
+        path.write_text("".join(line + "\n" for line in text), encoding="ascii")
+        print(f"wrote {len(text)} lines to {path}", file=sys.stderr)
+    print(f"queries {queries}", file=sys.stderr)

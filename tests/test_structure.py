@@ -181,11 +181,6 @@ def test_classify_reports_claw_for_universal_node():
     assert g.counter.count == 0
 
 
-def test_classify_requires_size_2_or_3():
-    with pytest.raises(ValueError):
-        classify(cycle(7), range(7), (0,))
-
-
 def test_classification_partitions_remaining_nodes():
     rng = SplitMix64(1000)
     for _ in range(1000):

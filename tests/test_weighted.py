@@ -35,6 +35,7 @@ from clawmwss.weighted import (
 )
 
 from helpers import (
+    alpha3_instances,
     bench_instances,
     complete,
     cycle,
@@ -129,40 +130,19 @@ def _role_configs(cls):
 
 
 def _brute_best_triple(g, weights, xs, ys, zs):
-    best = None
-    for x in xs:
-        for y in ys:
-            if y in g.neighbor_set(x):
-                continue
-            for z in zs:
-                if z not in g.neighbor_set(x) and z not in g.neighbor_set(y):
-                    cand = (weights[x] + weights[y] + weights[z], (x, y, z))
-                    if (
-                        best is None
-                        or cand[0] > best[0]
-                        or (cand[0] == best[0] and cand[1] < best[1])
-                    ):
-                        best = cand
-    return best
-
-
-def _alpha3_instances(rng, count, max_n=25, negative=False):
-    produced = 0
-    while produced < count:
-        g, weights, _ = random_clawfree(rng, max_n, negative_weights=negative)
-        report = stable_set_min_alpha4(g)
-        if report.exact_alpha != 3:
-            continue
-        yield g, weights, classify(g, range(g.n), report.nodes)
-        produced += 1
+    """(weight, (x, y, z)) of the heaviest stable triple, ties to the
+    smallest tuple, or None."""
+    triples = (t for t in itertools.product(xs, ys, zs) if is_stable_set(g, t))
+    weighed = ((sum(weights[v] for v in t), t) for t in triples)
+    return min(weighed, key=lambda cand: (-cand[0], cand[1]), default=None)
 
 
 def test_weighted_three_sets_matches_brute_force():
     # Soak test: every role assignment on thousands of instances, exact
     # weight and tie agreement with the exhaustive triple scan.
-    rng = SplitMix64(61)
     checked = 0
-    for g, weights, cls in _alpha3_instances(rng, 1700):
+    for g, weights, _, report in itertools.islice(alpha3_instances(SplitMix64(61), 25), 1700):
+        cls = classify(g, range(g.n), report.nodes)
         for xs, ys, zs in _role_configs(cls):
             found = weighted_three_sets(g, weights, xs, ys, zs)
             brute = _brute_best_triple(g, weights, xs, ys, zs)
@@ -204,8 +184,8 @@ def test_weighted_three_sets_exact_on_ties():
 
 def test_prefix_predicate_is_monotone():
     # Once a prefix leaves a gap for a pair, every longer prefix does too.
-    rng = SplitMix64(62)
-    for g, weights, cls in _alpha3_instances(rng, 150):
+    for g, weights, _, report in itertools.islice(alpha3_instances(SplitMix64(62), 25), 150):
+        cls = classify(g, range(g.n), report.nodes)
         for xs, ys, zs in _role_configs(cls):
             if not zs:
                 continue
@@ -227,8 +207,8 @@ def test_prefix_predicate_is_monotone():
 def test_fixed_pair_gets_heaviest_completion():
     # With singleton probe sets the search must return the heaviest clique
     # node compatible with the pair (linear-scan oracle).
-    rng = SplitMix64(63)
-    for g, weights, cls in _alpha3_instances(rng, 200):
+    for g, weights, _, report in itertools.islice(alpha3_instances(SplitMix64(63), 25), 200):
+        cls = classify(g, range(g.n), report.nodes)
         for xs, ys, zs in _role_configs(cls):
             if not zs:
                 continue
@@ -339,18 +319,17 @@ def test_anchor_classification_is_reused_exactly(monkeypatch):
         pools.append(list(pool))
         return pool_search(g, weights, pool)
 
-    monkeypatch.setattr(weighted, "mwss_small", recording)
-    rng = SplitMix64(0xC1A5)
-    alphas = set()
-    checked = 0
-    while checked < 300:
-        g, weights, _ = random_clawfree(rng, 40)
+    def keep(g):
         report = stable_set_min_alpha4(g)
         alphas.add(len(report.nodes))
-        if report.exact_alpha != 3:
-            assert report.classification is None
-            continue
-        checked += 1
+        if report.exact_alpha == 3:
+            return report
+        assert report.classification is None
+
+    monkeypatch.setattr(weighted, "mwss_small", recording)
+    alphas = set()
+    draws = alpha3_instances(SplitMix64(0xC1A5), 40, keep)
+    for g, weights, _, report in itertools.islice(draws, 300):
         cls = report.classification
         assert cls == classify(g, range(g.n), report.nodes)
         pools.clear()
@@ -487,8 +466,8 @@ def test_type_iii_four_cycle_contributes_nothing_for_clique_pair_set():
 def test_shape_searches_match_shape_filtered_brute_force():
     # For each shape routine: its result equals the exhaustive maximum over
     # stable triples matching that shape's role sets.
-    rng = SplitMix64(65)
-    for g, weights, cls in _alpha3_instances(rng, 250):
+    for g, weights, _, report in itertools.islice(alpha3_instances(SplitMix64(65), 25), 250):
+        cls = classify(g, range(g.n), report.nodes)
         s, t, u = cls.anchors
         shape_sets = {
             "path6": [
@@ -520,27 +499,18 @@ def test_shape_searches_match_shape_filtered_brute_force():
             ("iii", mwss_type_iii),
         ):
             found = op(g, weights, cls)
-            best = None
-            for xs, ys, zs in shape_sets[name]:
-                for x in xs:
-                    for y in ys:
-                        for z in zs:
-                            nodes = tuple(sorted({x, y, z}))
-                            if len(nodes) != 3 or not is_stable_set(g, nodes):
-                                continue
-                            w = sum(weights[v] for v in nodes)
-                            cand = (w, nodes)
-                            if (
-                                best is None
-                                or cand[0] > best[0]
-                                or (cand[0] == best[0] and cand[1] < best[1])
-                            ):
-                                best = cand
+            triples = (
+                nodes
+                for xs, ys, zs in shape_sets[name]
+                for nodes in itertools.product(xs, ys, zs)
+                if len(set(nodes)) == 3 and is_stable_set(g, nodes)
+            )
+            best = max((sum(weights[v] for v in nodes) for nodes in triples), default=None)
             if best is None:
                 assert found is None, name
             else:
                 assert found is not None, name
-                assert found[1] == best[0], name
+                assert found[1] == best, name
 
 
 def test_mwss_alpha3_examples():
