@@ -9,8 +9,8 @@ strips only the uncounted result asserts.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .errors import ClawWitnessError
 from .graph import Graph, OrderedCliquePrefix, is_clique_or_witness, is_null_to
@@ -210,8 +210,8 @@ def extend_to_four(g: Graph, cls: Classification) -> tuple[int, int, int, int] |
 
 def stable_set_min_alpha4(g: Graph, nodes: Sequence[int] | None = None) -> StableSetReport:
     """Stable set of size min(alpha, 4) of the claw-free subgraph of g
-    induced by ``nodes`` (None: all of g), which must be strictly ascending
-    ``int`` ids of g, else ValueError.
+    induced by ``nodes`` (None: all of g), which must be a sequence of
+    strictly ascending ``int`` ids of g, else ValueError.
 
     The search asks only adjacencies among ``nodes`` and builds no graph.
     Its two ``classify`` passes ask each (node, anchor) adjacency at most
@@ -228,6 +228,9 @@ def stable_set_min_alpha4(g: Graph, nodes: Sequence[int] | None = None) -> Stabl
     """
     if nodes is None:
         nodes = range(g.n)
+    if not isinstance(nodes, Sequence):
+        kind = type(nodes).__name__
+        raise ValueError(f"nodes must be a sequence of strictly ascending int ids, got a {kind}")
     # A range is decided by its two ends, so it is checked in O(1).
     prev = -1
     for v in nodes[:: max(len(nodes) - 1, 1)] if isinstance(nodes, range) else nodes:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .graph import Graph
-from .structure import Claw
 
 
 def adjacency_masks(g: Graph) -> list[int]:
@@ -65,27 +64,6 @@ def _alpha_min4(adj: list[int]) -> int:
 def brute_alpha_min4(g: Graph) -> int:
     """min(alpha(G), 4) by exhaustive subset scan; practical for n <= 80."""
     return _alpha_min4(adjacency_masks(g))
-
-
-def brute_is_clawfree(g: Graph) -> Claw | None:
-    """Exhaustive claw scan over all centers and neighbor triples."""
-    adj = adjacency_masks(g)
-    for center in range(g.n):
-        nbrs = g.neighbors(center)
-        k = len(nbrs)
-        for i in range(k):
-            x = nbrs[i]
-            ax = adj[x]
-            for j in range(i + 1, k):
-                y = nbrs[j]
-                if (ax >> y) & 1:
-                    continue
-                ay = adj[y]
-                for t in range(j + 1, k):
-                    z = nbrs[t]
-                    if not ((ax >> z) & 1) and not ((ay >> z) & 1):
-                        return Claw(center, (x, y, z))
-    return None
 
 
 def _better(cand: tuple[int, tuple[int, ...]], best: tuple[int, tuple[int, ...]]) -> bool:

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 import sys
+from math import comb
 
 from clawmwss import ClawWitnessError, Graph, StableSetReport, build_graph, generate, write_instance
 from clawmwss import stable_set_min_alpha4
 from clawmwss.graph import OrderedCliquePrefix
 from clawmwss.cardinality import extend_to_four, extend_to_three, stable_pair
 from clawmwss.gen import GenSpec, SplitMix64, sample_spec
+from clawmwss.oracles import adjacency_masks
 from clawmwss.structure import Claw, Classification
 
 
@@ -297,33 +299,36 @@ def clique_witness_by_pairs(g: Graph, nodes) -> tuple[int, int] | None:
     return None
 
 
-def find_claw_by_pairs(g: Graph) -> Claw | None:
-    """Reference for ``structure.find_claw``: each center's C(d, 2) neighbor
-    pairs asked one by one through the counted oracle, then the first claw
-    in the same scan order (center ascending, leaf pair in neighbor order,
-    smallest third leaf)."""
+def first_claw(g: Graph) -> tuple[Claw | None, int]:
+    """Reference for ``structure.find_claw``: (claw, queries).
+
+    The claw is the first in scan order (center ascending, then leaf
+    positions i < j < t in the center's neighbor tuple), by exhaustive scan
+    of neighbor bitmasks.  ``queries`` is what ``find_claw`` charges:
+    C(d, 2) for each center of degree d >= 3, up to and including the
+    claw's center, or over every center when there is no claw.  Reads only
+    neighbor tuples, through ``oracles.adjacency_masks``, so it shares no
+    code with ``Graph.adjacent`` or ``clawmwss.structure``."""
+    adj = adjacency_masks(g)
+    queries = 0
     for center in range(g.n):
         nbrs = g.neighbors(center)
-        d = len(nbrs)
-        if d < 3:
-            continue
-        non = [0] * d
-        for i in range(d - 1):
-            for j in range(i + 1, d):
-                if not g.adjacent(nbrs[i], nbrs[j]):
-                    non[i] |= 1 << j
-                    non[j] |= 1 << i
-        for i in range(d):
-            later = non[i] >> (i + 1) << (i + 1)
-            while later:
-                low = later & -later
-                j = low.bit_length() - 1
-                common = non[i] & non[j]
-                if common:
-                    k = (common & -common).bit_length() - 1
-                    return Claw(center, tuple(sorted((nbrs[i], nbrs[j], nbrs[k]))))
-                later ^= low
-    return None
+        k = len(nbrs)
+        if k >= 3:
+            queries += comb(k, 2)
+        for i in range(k):
+            x = nbrs[i]
+            ax = adj[x]
+            for j in range(i + 1, k):
+                y = nbrs[j]
+                if (ax >> y) & 1:
+                    continue
+                ay = adj[y]
+                for t in range(j + 1, k):
+                    z = nbrs[t]
+                    if not ((ax >> z) & 1) and not ((ay >> z) & 1):
+                        return Claw(center, (x, y, z)), queries
+    return None, queries
 
 
 _FUZZ_TOKENS = ("99999999999999999999", "1048577", "2305843009213693953", "x")

@@ -1,5 +1,6 @@
 """The package's public surface and the names the benchmark tracer patches."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import clawmwss
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PACKAGE = Path(clawmwss.__file__).resolve().parent
 
 
 def _load_spans():
@@ -80,3 +82,34 @@ def test_every_graph_constructor_reaches_the_benchmark_query_probe():
             assert probe.total() == before + 1, name
     finally:
         probe.uninstall()
+
+
+def _reads(tree) -> set[str]:
+    """The names that ``tree`` reads, as a bare name or an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_module_level_definition_has_a_user():
+    # A function or class that is not public, that no other code in src/
+    # reads and that the benchmark tracer does not patch is kept alive only
+    # by tests: it belongs in tests/helpers.py.
+    traced = {fn.split(".")[0] for fns in _load_spans().LAYERS.values() for fn in fns}
+    top = [
+        (path.stem, stmt)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    reads = [_reads(stmt) for _, stmt in top]
+    unused = [
+        f"{module}.{stmt.name}"
+        for i, (module, stmt) in enumerate(top)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name not in clawmwss.__all__
+        and stmt.name not in traced
+        and not any(stmt.name in names for j, names in enumerate(reads) if j != i)
+    ]
+    assert unused == []

@@ -22,7 +22,7 @@ from clawmwss.cardinality import (
 )
 from clawmwss.gen import GenSpec, SplitMix64, sample_spec
 from clawmwss.graph import is_null_to
-from clawmwss.oracles import brute_alpha_min4, brute_is_clawfree, is_stable_set
+from clawmwss.oracles import brute_alpha_min4, is_stable_set
 from clawmwss.structure import classify
 
 from helpers import (
@@ -31,6 +31,7 @@ from helpers import (
     complete,
     cycle,
     exact_alpha3,
+    first_claw,
     min_alpha4_by_full_passes,
     random_clawfree,
     random_graph,
@@ -340,7 +341,7 @@ def test_extend_to_four_examples():
         (8, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 3), (2, 5), (3, 5), (3, 7), (4, 6), (5, 7)]),
     ):
         g = build_graph(n, edges)
-        assert brute_is_clawfree(g) is None
+        assert first_claw(g)[0] is None
         assert stable_set_min_alpha4(g).alpha_at_least_4
 
 
@@ -404,7 +405,7 @@ def test_report_exhaustive_small_graphs():
         for bits in range(1 << len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
             g = build_graph(n, edges)
-            if brute_is_clawfree(g) is not None:
+            if first_claw(g)[0] is not None:
                 continue
             report = stable_set_min_alpha4(g)
             assert len(report.nodes) == brute_alpha_min4(g)
@@ -423,6 +424,7 @@ _MALFORMED_NODES = {
     "id_at_least_n": ([0, 5], range(6)),
     "negative": ([-1, 0, 1], range(-1, 5)),
     "non_int": ([0, 1.0, 2], [False, 1, 2], ["0"]),
+    "not_a_sequence": ({0, 1, 2, 3, 4}, (v for v in range(5)), dict.fromkeys(range(5))),
 }
 
 

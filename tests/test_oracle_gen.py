@@ -15,7 +15,6 @@ from clawmwss.gen import (
 from clawmwss.graph import NODE_LIMIT, induced_subgraph
 from clawmwss.oracles import (
     brute_alpha_min4,
-    brute_is_clawfree,
     brute_mwss,
     is_stable_set,
 )
@@ -27,6 +26,7 @@ from helpers import (
     complete,
     cycle,
     edge_set,
+    first_claw,
     line_graph_by_pairs,
     random_graph,
     star,
@@ -127,9 +127,9 @@ def test_brute_mwss_size_scan_equals_full_enumeration():
 
 
 def test_brute_clawfree_examples():
-    claw = brute_is_clawfree(star(3))
+    claw, _ = first_claw(star(3))
     assert claw is not None and claw.center == 0
-    assert brute_is_clawfree(cycle(7)) is None
+    assert first_claw(cycle(7))[0] is None
 
 
 def test_line_graph_of_triangle_is_triangle():
@@ -227,7 +227,7 @@ def test_generator_outputs_are_certified_claw_free():
         assert all(lo <= w <= hi for w in weights)
         verify_certificate(g, cert)  # includes oracle recheck at this size
         assert_right_sized_store(g)
-        assert brute_is_clawfree(g) is None
+        assert first_claw(g)[0] is None
         alpha = brute_alpha_min4(g)
         if cert.exact:
             assert alpha == min(cert.alpha_bound, 4)
@@ -250,7 +250,7 @@ def test_line_graphs_of_random_hosts_are_claw_free():
             if rng.below(100) < 45
         ]
         g = line_graph(hn, hedges)
-        assert brute_is_clawfree(g) is None
+        assert first_claw(g)[0] is None
 
 
 def _same_store(g, ref):

@@ -17,7 +17,6 @@ from clawmwss.gen import SplitMix64, sample_spec
 from clawmwss.graph import induced_subgraph
 from clawmwss.oracles import (
     brute_alpha_min4,
-    brute_is_clawfree,
     brute_mwss,
     is_stable_set,
 )
@@ -39,6 +38,7 @@ from helpers import (
     bench_instances,
     complete,
     cycle,
+    first_claw,
     prefix_rows,
     random_clawfree,
     random_graph,
@@ -384,7 +384,7 @@ def test_cycle6_split_when_middle_set_not_clique():
             (4, 6), (5, 7), (6, 7), (3, 4),
         ],
     )
-    assert brute_is_clawfree(g) is None
+    assert first_claw(g)[0] is None
     assert brute_alpha_min4(g) == 3
     cls = classify(g, range(g.n), (0, 1, 2))
     weights = [1] * 8
@@ -419,7 +419,7 @@ _CYCLE6_SPLIT = [(1, 3), (2, 3), (1, 4), (2, 4)]
 def test_cycle6_split_failure_reports_a_claw(extra, claw):
     edges = _CYCLE6_SPLIT + extra
     g = build_graph(1 + max(map(max, edges)), edges)
-    assert brute_is_clawfree(g) is not None
+    assert first_claw(g)[0] is not None
     cls = classify(g, range(g.n), (0, 1, 2))
     with pytest.raises(ClawWitnessError) as info:
         mwss_type_cycle6(g, [1] * g.n, cls)
@@ -439,7 +439,7 @@ def test_type_iii_c7_and_four_cycle_shape():
     # Lone anchor 0 supplies node 3; the 4-cycle (1, 4, 2, 5) supplies the
     # non-adjacent pair {4, 5}.
     g = build_graph(6, [(0, 3), (1, 4), (2, 4), (1, 5), (2, 5)])
-    assert brute_is_clawfree(g) is None
+    assert first_claw(g)[0] is None
     cls = classify(g, range(g.n), (0, 1, 2))
     weights = [1, 1, 1, 2, 3, 4]
     nodes, weight = mwss_type_iii(g, weights, cls)
@@ -448,7 +448,7 @@ def test_type_iii_c7_and_four_cycle_shape():
     # Anchor 0's exclusive set gains node 6, the heaviest, so it joins the
     # pair {4, 5} in place of node 3.
     g = build_graph(7, [(0, 3), (1, 4), (2, 4), (1, 5), (2, 5), (0, 6), (3, 6)])
-    assert brute_is_clawfree(g) is None
+    assert first_claw(g)[0] is None
     cls = classify(g, range(g.n), (0, 1, 2))
     assert cls.exclusive_to(0) == (3, 6)
     weights = [1, 1, 1, 2, 3, 4, 5]
@@ -458,7 +458,7 @@ def test_type_iii_c7_and_four_cycle_shape():
 
 def test_type_iii_four_cycle_contributes_nothing_for_clique_pair_set():
     g = build_graph(6, [(0, 3), (1, 4), (2, 4), (1, 5), (2, 5), (4, 5)])
-    assert brute_is_clawfree(g) is None
+    assert first_claw(g)[0] is None
     cls = classify(g, range(g.n), (0, 1, 2))
     assert mwss_type_iii(g, [1] * 6, cls) is None
 
