@@ -32,10 +32,6 @@ class StableSetReport:
     classification: Classification | None = field(default=None, compare=False, repr=False)
 
     @property
-    def alpha_at_least_4(self) -> bool:
-        return len(self.nodes) >= 4
-
-    @property
     def exact_alpha(self) -> int | None:
         """alpha(G) when it is at most 3, else None."""
         return len(self.nodes) if len(self.nodes) < 4 else None

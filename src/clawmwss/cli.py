@@ -111,7 +111,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if claw is not None:
         return _not_claw_free(claw)
     report = stable_set_min_alpha4(g)
-    if report.alpha_at_least_4:
+    if report.exact_alpha is None:
         print("CLAW_FREE alpha>=4")
     else:
         print(f"CLAW_FREE alpha={report.exact_alpha}")
@@ -276,18 +276,10 @@ def run_bench(sizes: Sequence[int], seed: int) -> list[BenchRecord]:
     return records
 
 
-def render_csv(records: Sequence[BenchRecord]) -> str:
-    lines = ["instance,n,m,queries,ns,ratio"]
-    for r in records:
-        lines.append(f"{r.instance},{r.n},{r.m},{r.queries},{r.ns},{r.ratio:.6f}")
-    return "\n".join(lines) + "\n"
-
-
 def render_json(records: Sequence[BenchRecord], seed: int) -> str:
-    """The records, with the generate, write, parse and claw-check figures
-    and the store bytes the CSV leaves out, plus what they were measured
-    under: the Python version, the build mode (``__debug__``, false under
-    ``python -O``) and the seed."""
+    """The records, plus what they were measured under: the Python version,
+    the build mode (``__debug__``, false under ``python -O``) and the
+    seed."""
     doc = {
         "python": platform.python_version(),
         "debug": __debug__,
@@ -308,11 +300,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         records = run_bench(sizes, args.seed)
     except ValueError as exc:
         return _error(exc)
-    if not _save(args.out, lambda fh: fh.write(render_csv(records))):
-        return EXIT_INPUT_ERROR
-    if args.json_out and not _save(
-        args.json_out, lambda fh: fh.write(render_json(records, args.seed))
-    ):
+    if not _save(args.out, lambda fh: fh.write(render_json(records, args.seed))):
         return EXIT_INPUT_ERROR
     ratios = [r.ratio for r in records]
     lo, hi = min(ratios), max(ratios)
@@ -362,13 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", default="verify-failure.instance")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="query-count scaling benchmark, CSV output")
+    p = sub.add_parser("bench", help="query-count scaling benchmark, JSON records")
     p.add_argument("--sizes", default="1024,4096,16384,65536,262144",
                    help="comma-separated target edge counts")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--json", dest="json_out", metavar="FILE",
-                   help="also write the records, Python version, build mode and seed")
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -41,13 +41,14 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
 def read_instance(stream: IO[str] | str) -> tuple[Graph, list[int]]:
     """Parse an instance file into (Graph, weights).
 
-    Accepts a text stream or a string.  Raises InstanceFormatError with the
-    offending 1-based line number on any malformed input, including any
-    non-ASCII character.  The edge lines stream straight into
-    :func:`build_graph`; no edge list is held.
+    Accepts a text stream or a string, whose LF, CRLF and CR line ends read
+    alike, as in a file opened in text mode.  Raises InstanceFormatError
+    with the offending 1-based line number on any malformed input,
+    including any non-ASCII character.  The edge lines stream straight
+    into :func:`build_graph`; no edge list is held.
     """
     if isinstance(stream, str):
-        stream = io.StringIO(stream)
+        stream = io.StringIO(stream, newline=None)
     weights: list[int] = []
     batches = _parse(stream, weights)
     n = next(batches)
@@ -183,11 +184,14 @@ def dump_instance(
     Comment lines come first, then the problem line, weight lines for nodes
     whose weight differs from the default 1, and the edges with u < v in
     ascending order.  Output is canonical: reading it back yields an equal
-    graph and weight vector.
+    graph and weight vector.  Raises ValueError on a comment that is not one
+    line of ASCII text (it holds ``\\n``, ``\\r`` or a non-ASCII character).
     """
     if len(weights) != g.n:
         raise ValueError("weight vector length does not match node count")
     for comment in comments:
+        if "\n" in comment or "\r" in comment or not comment.isascii():
+            raise ValueError(f"comment is not one line of ASCII text: {comment!r}")
         out.write(f"c {comment}\n" if comment else "c\n")
     out.write(f"p edge {g.n} {g.m}\n")
     for v, w in enumerate(weights):

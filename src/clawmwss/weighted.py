@@ -319,7 +319,7 @@ def mwss_alpha3(g: Graph, weights: Sequence[int]) -> SolveOutcome:
     else:
         keep = [v for v in range(g.n) if weights[v] >= 0]
     report = stable_set_min_alpha4(g, keep)
-    if report.alpha_at_least_4:
+    if report.exact_alpha is None:
         return AlphaAtLeast4(report.nodes)
 
     best = _Best()

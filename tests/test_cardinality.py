@@ -342,7 +342,7 @@ def test_extend_to_four_examples():
     ):
         g = build_graph(n, edges)
         assert first_claw(g)[0] is None
-        assert stable_set_min_alpha4(g).alpha_at_least_4
+        assert stable_set_min_alpha4(g).exact_alpha is None
 
 
 def test_extend_to_four_surfaces_claw():
@@ -376,7 +376,7 @@ def test_report_examples():
     assert stable_set_min_alpha4(cycle(5)).exact_alpha == 2
     assert stable_set_min_alpha4(cycle(7)).exact_alpha == 3
     report = stable_set_min_alpha4(cycle(9))
-    assert report.alpha_at_least_4 and report.exact_alpha is None
+    assert report.exact_alpha is None
     assert len(report.nodes) == 4
     assert stable_set_min_alpha4(build_graph(0, [])).nodes == ()
     assert stable_set_min_alpha4(build_graph(0, [])).exact_alpha == 0
@@ -529,7 +529,7 @@ def test_cycle_costs_the_same_queries_at_every_length():
     for n in range(8, 201):
         g = cycle(n)
         report = stable_set_min_alpha4(g)
-        assert report.alpha_at_least_4 and is_stable_set(g, report.nodes)
+        assert report.exact_alpha is None and is_stable_set(g, report.nodes)
         counts.add(g.counter.count)
     assert len(counts) == 1
 

@@ -19,9 +19,7 @@ from clawmwss import (
     read_instance,
     write_instance,
 )
-from clawmwss.cli import (
-    BenchRecord, build_parser, main, render_csv, run_bench, verify_instances
-)
+from clawmwss.cli import build_parser, main, run_bench, verify_instances
 from clawmwss.gen import GenSpec, SplitMix64
 from clawmwss.graph import NODE_LIMIT, build_graph
 
@@ -229,7 +227,7 @@ def test_each_left_out_option_takes_its_default():
         1000, 0, 60, "verify-failure.instance"
     )
     bench = parse(["bench", "--out", "f"])
-    assert (bench.sizes, bench.seed, bench.json_out) == ("1024,4096,16384,65536,262144", 0, None)
+    assert (bench.sizes, bench.seed) == ("1024,4096,16384,65536,262144", 0)
     assert parse(["solve", "--input", "f"]).validate is False
 
 
@@ -425,31 +423,23 @@ def test_verify_unwritable_dump_reports_error(tmp_path, capsys, monkeypatch):
 
 
 def test_bench_records_and_csv(tmp_path, capsys):
-    out, out_json = tmp_path / "bench.csv", tmp_path / "bench.json"
+    out = tmp_path / "bench.json"
     start = time.perf_counter_ns()
-    rc = main(["bench", "--sizes", "64,256", "--seed", "1", "--out", str(out),
-               "--json", str(out_json)])
+    rc = main(["bench", "--sizes", "64,256", "--seed", "1", "--out", str(out)])
     wall_ns = time.perf_counter_ns() - start
     assert rc == 0
-    lines = out.read_text(encoding="ascii").splitlines()
-    assert lines[0] == "instance,n,m,queries,ns,ratio"
-    assert len(lines) == 3
-    for line in lines[1:]:
-        fields = line.split(",")
-        assert len(fields) == 6
-        assert int(fields[3]) > 0
-        float(fields[5])
+    assert [p.name for p in tmp_path.iterdir()] == ["bench.json"]
     printed = capsys.readouterr().out
 
-    # The JSON file holds the same rows, plus what they were measured under.
-    doc = json.loads(out_json.read_text(encoding="ascii"))
+    # The records, plus what they were measured under.
+    doc = json.loads(out.read_text(encoding="ascii"))
     assert (doc["python"], doc["debug"], doc["seed"]) == (platform.python_version(), __debug__, 1)
-    json_rows = [
-        ",".join(str(r[k]) for k in ("instance", "n", "m", "queries", "ns"))
-        + f",{r['ratio']:.6f}"
-        for r in doc["records"]
+    assert [r["instance"] for r in doc["records"]] == [
+        "line_graph_cover3-64", "line_graph_cover3-256"
     ]
-    assert json_rows == lines[1:]
+    for r in doc["records"]:
+        assert {"instance", "n", "m", "queries", "ns", "ratio"} <= r.keys()
+        assert r["queries"] > 0
     # The summary line spans the records' ratios.
     ratios = [r["ratio"] for r in doc["records"]]
     lo, hi = min(ratios), max(ratios)
@@ -467,37 +457,15 @@ def test_bench_records_and_csv(tmp_path, capsys):
         assert r["store_bytes"] == sys.getsizeof(()) * r["n"] + 16 * r["m"]
 
 
-def test_bench_without_json_writes_only_the_csv(tmp_path, capsys):
-    # Catches dropping the ``args.json_out and`` operand: the JSON write
-    # would then open a file named None.
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "--sizes", "64", "--seed", "1", "--out", str(out)]) == 0
-    assert out.read_text(encoding="ascii").startswith("instance,n,m,queries,ns,ratio\n")
-    assert [p.name for p in tmp_path.iterdir()] == ["bench.csv"]
-    assert capsys.readouterr().out.startswith("RATIO min=")
-
-
-@pytest.mark.parametrize("missing", ["--out", "--json"])
+@pytest.mark.parametrize("missing", ["--out"])
 def test_bench_unwritable_output_reports_error(tmp_path, capsys, missing):
-    paths = {"--out": tmp_path / "bench.csv", "--json": tmp_path / "bench.json"}
-    paths[missing] = tmp_path / "missing_dir" / "bench.txt"
-    rc = main(["bench", "--sizes", "64", "--seed", "1",
-               "--out", str(paths["--out"]), "--json", str(paths["--json"])])
+    out = tmp_path / "missing_dir" / "bench.json"
+    rc = main(["bench", "--sizes", "64", "--seed", "1", missing, str(out)])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-    assert not paths[missing].exists()
-
-
-def test_render_csv_exact_format():
-    rec = BenchRecord(
-        instance="x", n=3, m=2, queries=10, ns=1234, ratio=1.5, write_ns=1,
-        parse_ns=2, gen_ns=3, validate_ns=4, validate_queries=5, store_bytes=6,
-    )
-    assert render_csv([rec]) == (
-        "instance,n,m,queries,ns,ratio\nx,3,2,10,1234,1.500000\n"
-    )
+    assert not out.exists()
 
 
 def test_run_bench_queries_are_deterministic():

@@ -162,6 +162,15 @@ def test_an_empty_comment_is_written_as_a_bare_c_line():
     assert write_instance(g, [1, 1], comments=["", "x"]) == "c\nc x\np edge 2 1\ne 1 2\n"
 
 
+@pytest.mark.parametrize("comment", ["two\nlines", "two\rlines", "caf\u00e9"],
+                         ids=["newline", "carriage_return", "non_ascii"])
+def test_write_refuses_a_comment_that_is_not_one_ascii_line(comment):
+    # Each would read back as another line or as non-ASCII text.
+    g, _ = read_instance("p edge 2 1\ne 1 2\n")
+    with pytest.raises(ValueError, match="not one line of ASCII text"):
+        write_instance(g, [1, 1], comments=["fine", comment])
+
+
 def test_duplicate_edge_lines_collapse_but_count_against_header():
     g, _ = read_instance("p edge 3 3\ne 1 2\ne 2 1\ne 2 3\n")
     assert g.m == 2
@@ -174,14 +183,16 @@ def test_weight_line_after_the_edges_still_applies():
 
 def test_string_and_open_file_parse_alike(tmp_path):
     g, w, _ = generate(GenSpec("line_graph_cover3", 300, -9, 9, seed=5))
-    text = write_instance(g, w, comments=["same bytes twice"])
+    lf = write_instance(g, w, comments=["same bytes twice"])
     path = tmp_path / "inst.txt"
-    path.write_text(text)
-    g1, w1 = read_instance(text)
-    with open(path) as fh:
-        g2, w2 = read_instance(fh)
-    assert (g1.n, g1.m, list(edges(g1)), w1) == (g2.n, g2.m, list(edges(g2)), w2)
-    assert w1 == w
+    # LF, CRLF and CR line ends read alike from a string and from a file.
+    for text in (lf, lf.replace("\n", "\r\n"), lf.replace("\n", "\r")):
+        path.write_bytes(text.encode("ascii"))
+        g1, w1 = read_instance(text)
+        with open(path) as fh:
+            g2, w2 = read_instance(fh)
+        assert (g1.n, g1.m, list(edges(g1)), w1) == (g2.n, g2.m, list(edges(g2)), w2)
+        assert (list(edges(g1)), w1) == (list(edges(g)), w)
 
 
 def test_parse_holds_no_edge_list_and_a_right_sized_store(tmp_path):
@@ -273,7 +284,7 @@ class _Batches:
     whatever the hint."""
 
     def __init__(self, text: str, size: int):
-        self._lines = io.StringIO(text).readlines()
+        self._lines = io.StringIO(text, newline=None).readlines()
         self._size = size
 
     def readlines(self, hint: int = -1) -> list[str]:
