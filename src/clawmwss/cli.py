@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import stat
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -72,7 +74,9 @@ def _save(path: str, write: Callable[[IO[str]], object]) -> bool:
     try:
         with open(path, "w", encoding="ascii") as fh:
             write(fh)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        if isinstance(exc, ValueError) and stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)  # ``write`` refused its data: keep no partial file
         _error(exc)
         return False
     return True

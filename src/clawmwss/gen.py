@@ -161,11 +161,15 @@ def _gen_line_graph_cover3(spec: GenSpec, rng: SplitMix64) -> tuple[Graph, Certi
     host_edges = list(zip(centers, private))  # host edges 0, 1, 2: a matching of size 3
     for c in centers:
         chosen: set[int] = set()
-        while len(chosen) < extra:
+        for _ in range(32 * pool):  # a seed takes about 1.6 draws per leaf
+            if len(chosen) == extra:
+                break
             leaf = 6 + rng.below(pool)
             if leaf not in chosen:
                 chosen.add(leaf)
                 host_edges.append((c, leaf))
+        if len(chosen) < extra:
+            raise RuntimeError(f"drew fewer than {extra} distinct leaves in {32 * pool} draws")
     if extra:
         for i in range(3):
             for j in range(i + 1, 3):

@@ -14,8 +14,9 @@ to name a claw center before each three-anchor pass.  A graph keeps one
 adjacency store, an ascending tuple of neighbor ids per node, and answers a
 query by bisection in O(log d) time for a node of degree d.  The store
 takes one 8-byte word per arc plus a 40-byte tuple header per node: the
-tuples share one int object per node id.  The parser and the cycle
-generator pass their edges to :func:`build_graph`; the line-graph and
+tuples share one int object per node id.  :func:`build_graph` and the
+reader, which checks each edge itself, fill per-node lists of shared ids
+that one private step turns into the tuples; the line-graph and
 triangle-free-complement generators build the tuples directly and hand
 them to :class:`Graph`, keeping both properties.
 """
@@ -112,7 +113,11 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         nbrs[u].append(ids[v])
         nbrs[v].append(ids[u])
-    # Replacing in place frees each list as soon as its tuple exists.
+    return _graph_from_lists(nbrs)
+
+
+def _graph_from_lists(nbrs: list) -> Graph:
+    """The Graph of per-node lists of checked, shared ids, sorted in place."""
     for v, s in enumerate(nbrs):
         nbrs[v] = tuple(sorted(set(s)))
     return Graph(nbrs)

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import io
 from bisect import bisect_right
-from itertools import chain, repeat
-from operator import eq, sub
-from typing import IO, Iterable, Iterator, Sequence
+from operator import eq
+from typing import IO, Iterable, Sequence
 
 from .errors import InstanceFormatError
-from .graph import NODE_LIMIT, WEIGHT_LIMIT, Graph, build_graph
+from .graph import NODE_LIMIT, WEIGHT_LIMIT, Graph, _graph_from_lists
 
 # Characters of text the reader takes per batch of lines.  A batch of edge
 # lines is checked and converted whole, so its token strings are alive at
@@ -36,23 +35,6 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
         except ValueError:
             pass
     raise InstanceFormatError(line_no, f"{what} is not an integer: {token!r}")
-
-
-def read_instance(stream: IO[str] | str) -> tuple[Graph, list[int]]:
-    """Parse an instance file into (Graph, weights).
-
-    Accepts a text stream or a string, whose LF, CRLF and CR line ends read
-    alike, as in a file opened in text mode.  Raises InstanceFormatError
-    with the offending 1-based line number on any malformed input,
-    including any non-ASCII character.  The edge lines stream straight
-    into :func:`build_graph`; no edge list is held.
-    """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream, newline=None)
-    weights: list[int] = []
-    batches = _parse(stream, weights)
-    n = next(batches)
-    return build_graph(n, chain.from_iterable(batches)), weights
 
 
 def _edge_batch(batch: list[str], n: int, room: int) -> list[int] | None:
@@ -87,17 +69,22 @@ def _edge_batch(batch: list[str], n: int, room: int) -> list[int] | None:
     return ends
 
 
-def _parse(stream: IO[str], weights: list[int]) -> Iterator:
-    """Yield the node count once the problem line is read, then the edges
-    as iterables of 0-based pairs, one per batch or edge line; weight lines
-    fill ``weights`` on the way, wherever they stand.  The edge count is
-    checked when the stream ends.
+def read_instance(stream: IO[str] | str) -> tuple[Graph, list[int]]:
+    """Parse an instance file into (Graph, weights).
+
+    Accepts a text stream or a string, whose LF, CRLF and CR line ends read
+    alike, as in a file opened in text mode.  Raises InstanceFormatError
+    with the offending 1-based line number on any malformed input,
+    including any non-ASCII character.
 
     Lines are read in batches of about BATCH_HINT characters.  Once an
     edge line has been read, each batch is first offered to
-    :func:`_edge_batch`; one it refuses goes through the line loop from
-    its first line, so errors and their line numbers do not depend on the
-    batching."""
+    :func:`_edge_batch`; one it refuses goes through the line loop from its
+    first line, so errors and their line numbers do not depend on the
+    batching.  Either route checks each edge once and appends its ends to
+    per-node lists of shared ids; no edge list is held."""
+    if isinstance(stream, str):
+        stream = io.StringIO(stream, newline=None)
     n = -1
     m_declared = -1
     weighted: set[int] = set()
@@ -110,8 +97,9 @@ def _parse(stream: IO[str], weights: list[int]) -> Iterator:
             if ends is not None:
                 edge_lines += len(batch)
                 line_no += len(batch)
-                zero_based = map(sub, ends, repeat(1))
-                yield zip(zero_based, zero_based)
+                for u, v in zip(ends[0::2], ends[1::2]):
+                    nbrs[ids[u]].append(ids[v])
+                    nbrs[ids[v]].append(ids[u])
                 continue
         for raw in batch:
             line_no += 1
@@ -132,8 +120,11 @@ def _parse(stream: IO[str], weights: list[int]) -> Iterator:
                     raise InstanceFormatError(line_no, "negative count in problem line")
                 if n > NODE_LIMIT:
                     raise InstanceFormatError(line_no, f"node count {n} exceeds {NODE_LIMIT}")
-                weights.extend([1] * n)
-                yield n
+                weights = [1] * n
+                # ids[k] = k - 1 is file id k's node: one int object that
+                # every tuple shares.
+                ids = list(range(-1, n))
+                nbrs = [[] for _ in range(n)]
             elif kind == "n":
                 if n < 0:
                     raise InstanceFormatError(line_no, "weight line before problem line")
@@ -163,7 +154,8 @@ def _parse(stream: IO[str], weights: list[int]) -> Iterator:
                 edge_lines += 1
                 if edge_lines > m_declared:
                     raise InstanceFormatError(line_no, f"more than {m_declared} edge lines")
-                yield ((u - 1, v - 1),)
+                nbrs[ids[u]].append(ids[v])
+                nbrs[ids[v]].append(ids[u])
             else:
                 raise InstanceFormatError(line_no, f"unknown line type {kind!r}")
 
@@ -173,6 +165,7 @@ def _parse(stream: IO[str], weights: list[int]) -> Iterator:
         raise InstanceFormatError(
             line_no + 1, f"expected {m_declared} edge lines, found {edge_lines}"
         )
+    return _graph_from_lists(nbrs), weights
 
 
 def dump_instance(

@@ -20,7 +20,7 @@ from clawmwss import (
     write_instance,
 )
 from clawmwss.cli import build_parser, main, run_bench, verify_instances
-from clawmwss.gen import GenSpec, SplitMix64
+from clawmwss.gen import Certificate, GenSpec, SplitMix64
 from clawmwss.graph import NODE_LIMIT, build_graph
 
 from helpers import bench_instances, cycle, edge_set, mutant_corpus, star, with_lightest_negative
@@ -279,6 +279,20 @@ def test_gen_unwritable_out_reports_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_refused_comment_reports_error_and_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def comment_lines(self):
+        yield "cert kind=line_graph_cover3 alpha=3"
+        yield "bad\nline"
+
+    monkeypatch.setattr(Certificate, "comment_lines", comment_lines)
+    out = tmp_path / "x.txt"
+    assert main(["gen", "--size", "10", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: comment is not one line of ASCII text: 'bad\\nline'\n"
+    assert not out.exists()
+
+
 def test_gen_certify_failure_reports_error(tmp_path, capsys, monkeypatch):
     def refuse(g, cert):
         raise ValueError("alpha is 2, certificate claims 3")
@@ -422,7 +436,7 @@ def test_verify_unwritable_dump_reports_error(tmp_path, capsys, monkeypatch):
     assert not dump.exists()
 
 
-def test_bench_records_and_csv(tmp_path, capsys):
+def test_bench_writes_one_json_record_file(tmp_path, capsys):
     out = tmp_path / "bench.json"
     start = time.perf_counter_ns()
     rc = main(["bench", "--sizes", "64,256", "--seed", "1", "--out", str(out)])
@@ -457,10 +471,9 @@ def test_bench_records_and_csv(tmp_path, capsys):
         assert r["store_bytes"] == sys.getsizeof(()) * r["n"] + 16 * r["m"]
 
 
-@pytest.mark.parametrize("missing", ["--out"])
-def test_bench_unwritable_output_reports_error(tmp_path, capsys, missing):
+def test_bench_unwritable_output_reports_error(tmp_path, capsys):
     out = tmp_path / "missing_dir" / "bench.json"
-    rc = main(["bench", "--sizes", "64", "--seed", "1", missing, str(out)])
+    rc = main(["bench", "--sizes", "64", "--seed", "1", "--out", str(out)])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""

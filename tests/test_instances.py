@@ -218,6 +218,18 @@ def test_parse_holds_no_edge_list_and_a_right_sized_store(tmp_path):
     assert_right_sized_store(g)
 
 
+def test_the_line_loop_fills_a_right_sized_store_too(monkeypatch):
+    g, w, _ = generate(GenSpec("line_graph_cover3", 1 << 14, seed=3))
+    text = write_instance(g, w)
+    batched, _ = read_instance(text)
+    monkeypatch.setattr(instances, "_edge_batch", lambda *args: None)
+    looped, _ = read_instance(text)
+    assert_right_sized_store(looped)
+    assert [looped.neighbors(v) for v in range(looped.n)] == [
+        batched.neighbors(v) for v in range(batched.n)
+    ]
+
+
 # SHA-256 of ``write_instance(g, w, cert.comment_lines())`` for one spec per
 # generator kind and a 2^14 line graph, taken from the writer that built
 # the whole text as a list of lines before the streamed one replaced it.

@@ -151,6 +151,21 @@ def test_minimal_cover3_instance_is_three_isolated_nodes():
     verify_certificate(g, cert)
 
 
+def test_leaf_draws_that_never_meet_a_new_leaf_raise_instead_of_spinning(monkeypatch):
+    calls = 0
+
+    def stuck(self, n):
+        nonlocal calls
+        calls += 1
+        if calls > 10**5:
+            raise AssertionError("the leaf draws did not stop")
+        return 0
+
+    monkeypatch.setattr(SplitMix64, "below", stuck)
+    with pytest.raises(RuntimeError, match="fewer than 13 distinct leaves in 608 draws"):
+        generate(GenSpec("line_graph_cover3", size=300, seed=5))
+
+
 def test_generate_is_deterministic_and_seed_sensitive():
     spec = GenSpec("line_graph_cover3", size=120, seed=99)
     g1, w1, c1 = generate(spec)
