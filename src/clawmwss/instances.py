@@ -14,17 +14,18 @@ from __future__ import annotations
 
 import io
 from bisect import bisect_right
-from operator import eq
 from typing import IO, Iterable, Sequence
 
 from .errors import InstanceFormatError
-from .graph import NODE_LIMIT, WEIGHT_LIMIT, Graph, _graph_from_lists
+from .graph import NODE_LIMIT, WEIGHT_LIMIT, Graph, _graph_from_lists, check_weights
 
-# Characters of text the reader takes per batch of lines.  A batch of edge
-# lines is checked and converted whole, so its token strings are alive at
-# once: at m = 2^14, 64 KiB batches raise the parse's traced peak by about
-# 23 bytes per edge, and 1 KiB batches by nothing measurable.
-BATCH_HINT = 1 << 10
+# Entries the reader's name table holds before it is emptied: all ids of an
+# alpha <= 3 file of up to 2^23 edges (m >= about n^2/6), yet no string per
+# node of a sparse file.
+NAME_LIMIT = 1 << 13
+# Digits of the largest node id.  A longer id token takes the full checks,
+# since int() refuses one of over 4,300 digits.
+ID_DIGITS = len(str(NODE_LIMIT))
 
 
 def _parse_int(token: str, line_no: int, what: str) -> int:
@@ -37,38 +38,6 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
     raise InstanceFormatError(line_no, f"{what} is not an integer: {token!r}")
 
 
-def _edge_batch(batch: list[str], n: int, room: int) -> list[int] | None:
-    """The 1-based ends u, v of each line of a batch, in one flat list, if
-    every line is ``e <u> <v>`` with both ids in 1..n and u != v, and there
-    are at most ``room`` lines; otherwise None, and the line loop reads the
-    batch.
-
-    A line holds no ``\\n`` but the one that ends it, so when the text of
-    k lines starts with ``e`` and holds k - 1 ``\\ne``, each line starts
-    with ``e``.  With 3k tokens, every third one ``e``, and the rest ints,
-    which hold no ``e``, the k line-first tokens fill the k ``e`` places, so
-    each line is ``e`` and two ints."""
-    k = len(batch)
-    if k > room:
-        return None
-    text = "".join(batch)
-    if not (text.isascii() and text.startswith("e") and text.count("\ne") == k - 1):
-        return None
-    if "_" in text:  # int() reads digit separators; the line loop refuses them
-        return None
-    tokens = text.split()
-    if len(tokens) != 3 * k or tokens[0::3].count("e") != k:
-        return None
-    del tokens[0::3]
-    try:
-        ends = list(map(int, tokens))
-    except ValueError:
-        return None
-    if min(ends) < 1 or max(ends) > n or any(map(eq, ends[0::2], ends[1::2])):
-        return None
-    return ends
-
-
 def read_instance(stream: IO[str] | str) -> tuple[Graph, list[int]]:
     """Parse an instance file into (Graph, weights).
 
@@ -77,12 +46,14 @@ def read_instance(stream: IO[str] | str) -> tuple[Graph, list[int]]:
     with the offending 1-based line number on any malformed input,
     including any non-ASCII character.
 
-    Lines are read in batches of about BATCH_HINT characters.  Once an
-    edge line has been read, each batch is first offered to
-    :func:`_edge_batch`; one it refuses goes through the line loop from its
-    first line, so errors and their line numbers do not depend on the
-    batching.  Either route checks each edge once and appends its ends to
-    per-node lists of shared ids; no edge list is held."""
+    One loop reads the lines in turn and holds no edge list: each edge's
+    ends go straight into per-node lists of shared ids.  A dict from id
+    token to that node's shared int answers most edge lines.  A token it
+    lacks enters it if it is a plain decimal id in 1..n, and the dict is
+    emptied once it holds NAME_LIMIT entries, so a sparse file with many
+    ids keeps it small.  An edge line with a token still missing (``+1``,
+    ``1_0``, an id out of range) or with both ends one node goes through
+    the full checks, so each error keeps its message and line number."""
     if isinstance(stream, str):
         stream = io.StringIO(stream, newline=None)
     n = -1
@@ -90,74 +61,76 @@ def read_instance(stream: IO[str] | str) -> tuple[Graph, list[int]]:
     weighted: set[int] = set()
     edge_lines = 0
     line_no = 0
-
-    for batch in iter(lambda: stream.readlines(BATCH_HINT), []):
-        if edge_lines:
-            ends = _edge_batch(batch, n, m_declared - edge_lines)
-            if ends is not None:
-                edge_lines += len(batch)
-                line_no += len(batch)
-                for u, v in zip(ends[0::2], ends[1::2]):
-                    nbrs[ids[u]].append(ids[v])
-                    nbrs[ids[v]].append(ids[u])
-                continue
-        for raw in batch:
-            line_no += 1
-            if not raw.isascii():
-                raise InstanceFormatError(line_no, "non-ASCII text")
-            parts = raw.split()
-            if not parts or parts[0] == "c":
-                continue
-            kind = parts[0]
-            if kind == "p":
-                if n >= 0:
-                    raise InstanceFormatError(line_no, "duplicate problem line")
-                if len(parts) != 4 or parts[1] != "edge":
-                    raise InstanceFormatError(line_no, f"malformed problem line: {raw.strip()!r}")
-                n = _parse_int(parts[2], line_no, "node count")
-                m_declared = _parse_int(parts[3], line_no, "edge count")
-                if n < 0 or m_declared < 0:
-                    raise InstanceFormatError(line_no, "negative count in problem line")
-                if n > NODE_LIMIT:
-                    raise InstanceFormatError(line_no, f"node count {n} exceeds {NODE_LIMIT}")
-                weights = [1] * n
-                # ids[k] = k - 1 is file id k's node: one int object that
-                # every tuple shares.
-                ids = list(range(-1, n))
-                nbrs = [[] for _ in range(n)]
-            elif kind == "n":
-                if n < 0:
-                    raise InstanceFormatError(line_no, "weight line before problem line")
-                if len(parts) != 3:
-                    raise InstanceFormatError(line_no, f"malformed weight line: {raw.strip()!r}")
-                v = _parse_int(parts[1], line_no, "node id")
-                w = _parse_int(parts[2], line_no, "node weight")
-                if not (1 <= v <= n):
-                    raise InstanceFormatError(line_no, f"node id {v} out of range 1..{n}")
-                if v - 1 in weighted:
-                    raise InstanceFormatError(line_no, f"duplicate weight for node {v}")
-                if abs(w) > WEIGHT_LIMIT:
-                    raise InstanceFormatError(line_no, f"weight magnitude exceeds {WEIGHT_LIMIT}")
-                weighted.add(v - 1)
-                weights[v - 1] = w
-            elif kind == "e":
-                if n < 0:
-                    raise InstanceFormatError(line_no, "edge line before problem line")
-                if len(parts) != 3:
-                    raise InstanceFormatError(line_no, f"malformed edge line: {raw.strip()!r}")
-                u = _parse_int(parts[1], line_no, "node id")
-                v = _parse_int(parts[2], line_no, "node id")
-                if not (1 <= u <= n and 1 <= v <= n):
-                    raise InstanceFormatError(line_no, f"edge ({u}, {v}) out of range 1..{n}")
-                if u == v:
-                    raise InstanceFormatError(line_no, f"self-loop at node {u}")
-                edge_lines += 1
-                if edge_lines > m_declared:
-                    raise InstanceFormatError(line_no, f"more than {m_declared} edge lines")
-                nbrs[ids[u]].append(ids[v])
-                nbrs[ids[v]].append(ids[u])
-            else:
-                raise InstanceFormatError(line_no, f"unknown line type {kind!r}")
+    names: dict[str, int] = {}
+    for raw in stream:
+        line_no += 1
+        if not raw.isascii():
+            raise InstanceFormatError(line_no, "non-ASCII text")
+        parts = raw.split()
+        if not parts or parts[0] == "c":
+            continue
+        kind = parts[0]
+        if kind == "p":
+            if n >= 0:
+                raise InstanceFormatError(line_no, "duplicate problem line")
+            if len(parts) != 4 or parts[1] != "edge":
+                raise InstanceFormatError(line_no, f"malformed problem line: {raw.strip()!r}")
+            n = _parse_int(parts[2], line_no, "node count")
+            m_declared = _parse_int(parts[3], line_no, "edge count")
+            if n < 0 or m_declared < 0:
+                raise InstanceFormatError(line_no, "negative count in problem line")
+            if n > NODE_LIMIT:
+                raise InstanceFormatError(line_no, f"node count {n} exceeds {NODE_LIMIT}")
+            weights = [1] * n
+            # ids[k] = k - 1 is file id k's node: one int object that
+            # every tuple shares.
+            ids = list(range(-1, n))
+            nbrs = [[] for _ in range(n)]
+        elif kind == "n":
+            if n < 0:
+                raise InstanceFormatError(line_no, "weight line before problem line")
+            if len(parts) != 3:
+                raise InstanceFormatError(line_no, f"malformed weight line: {raw.strip()!r}")
+            v = _parse_int(parts[1], line_no, "node id")
+            w = _parse_int(parts[2], line_no, "node weight")
+            if not (1 <= v <= n):
+                raise InstanceFormatError(line_no, f"node id {v} out of range 1..{n}")
+            if v - 1 in weighted:
+                raise InstanceFormatError(line_no, f"duplicate weight for node {v}")
+            if abs(w) > WEIGHT_LIMIT:
+                raise InstanceFormatError(line_no, f"weight magnitude exceeds {WEIGHT_LIMIT}")
+            weighted.add(v - 1)
+            weights[v - 1] = w
+        elif kind == "e":
+            if n < 0:
+                raise InstanceFormatError(line_no, "edge line before problem line")
+            if len(parts) != 3:
+                raise InstanceFormatError(line_no, f"malformed edge line: {raw.strip()!r}")
+            _, a, b = parts
+            u = names.get(a)
+            v = names.get(b)
+            if u is None or v is None or u == v:
+                if len(names) >= NAME_LIMIT:
+                    names.clear()
+                if u is None and len(a) <= ID_DIGITS and a.isdigit() and 0 < (k := int(a)) <= n:
+                    u = names[a] = ids[k]
+                if v is None and len(b) <= ID_DIGITS and b.isdigit() and 0 < (k := int(b)) <= n:
+                    v = names[b] = ids[k]
+                if u is None or v is None or u == v:
+                    u = _parse_int(a, line_no, "node id")
+                    v = _parse_int(b, line_no, "node id")
+                    if not (1 <= u <= n and 1 <= v <= n):
+                        raise InstanceFormatError(line_no, f"edge ({u}, {v}) out of range 1..{n}")
+                    if u == v:
+                        raise InstanceFormatError(line_no, f"self-loop at node {u}")
+                    u, v = ids[u], ids[v]
+            edge_lines += 1
+            if edge_lines > m_declared:
+                raise InstanceFormatError(line_no, f"more than {m_declared} edge lines")
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        else:
+            raise InstanceFormatError(line_no, f"unknown line type {kind!r}")
 
     if n < 0:
         raise InstanceFormatError(line_no + 1, "missing problem line")
@@ -177,11 +150,12 @@ def dump_instance(
     Comment lines come first, then the problem line, weight lines for nodes
     whose weight differs from the default 1, and the edges with u < v in
     ascending order.  Output is canonical: reading it back yields an equal
-    graph and weight vector.  Raises ValueError on a comment that is not one
-    line of ASCII text (it holds ``\\n``, ``\\r`` or a non-ASCII character).
+    graph and weight vector.  Raises ValueError on weights that break
+    :func:`graph.check_weights`'s contract, which the reader also enforces,
+    and on a comment that is not one line of ASCII text (it holds ``\\n``,
+    ``\\r`` or a non-ASCII character).
     """
-    if len(weights) != g.n:
-        raise ValueError("weight vector length does not match node count")
+    check_weights(g, weights)
     for comment in comments:
         if "\n" in comment or "\r" in comment or not comment.isascii():
             raise ValueError(f"comment is not one line of ASCII text: {comment!r}")

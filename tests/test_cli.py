@@ -191,7 +191,7 @@ def test_release_build_prints_the_same_line_on_every_input(tmp_path, capsys):
     [
         ["solve"],
         ["bogus"],
-        ["bench", "--sizes", "1,x", "--out", "unused.csv"],
+        ["bench", "--sizes", "1,x", "--out", "unused.json"],
         ["verify", "--max-n", "2"],
         ["verify", "--max-n", "-1"],
         ["verify", "--count", "-5"],
@@ -199,13 +199,13 @@ def test_release_build_prints_the_same_line_on_every_input(tmp_path, capsys):
         ["verify", "--max-n", "4097"],
         ["gen", "--size", "10", "--wlo", "-99999999999999999999", "--out", "unused"],
         ["gen", "--kind", "cycle", "--size", "1048577", "--out", "unused"],
-        ["bench", "--sizes", "183251588438", "--out", "unused.csv"],
+        ["bench", "--sizes", "183251588438", "--out", "unused.json"],
         ["gen", "--size", "8368566", "--out", "unused"],
-        ["bench", "--sizes", "8368566", "--out", "unused.csv"],
+        ["bench", "--sizes", "8368566", "--out", "unused.json"],
         ["gen", "--kind", "complement_triangle_free", "--size", "4097", "--out", "unused"],
         ["gen", "--kind", "line_graph_cover3", "--size", "-5", "--out", "unused"],
-        ["bench", "--sizes", "-5", "--out", "unused.csv"],
-        ["bench", "--sizes", "", "--out", "unused.csv"],
+        ["bench", "--sizes", "-5", "--out", "unused.json"],
+        ["bench", "--sizes", "", "--out", "unused.json"],
     ],
     ids=" ".join,
 )

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import itertools
+import re
 import tracemalloc
 
 import pytest
@@ -9,7 +10,7 @@ from clawmwss import InstanceFormatError, generate, instances, read_instance, wr
 from clawmwss.cli import main
 from clawmwss.gen import GenSpec, SplitMix64, sample_spec
 from clawmwss.graph import NODE_LIMIT
-from clawmwss.instances import BATCH_HINT, dump_instance
+from clawmwss.instances import dump_instance
 
 from helpers import (
     assert_right_sized_store,
@@ -103,10 +104,9 @@ _EDGES_1000 = "p edge 49 1000\n" + "".join(
             "node id is not an integer",
             id="edges-underscore",
         ),
-        # A long comment closes the first batch; the second holds only the
-        # two edge lines, the self-loop last.
+        # A 1 KiB comment between edge lines, the self-loop last.
         pytest.param(
-            "p edge 5 3\ne 1 2\nc " + "x" * BATCH_HINT + "\ne 2 3\ne 4 4\n",
+            "p edge 5 3\ne 1 2\nc " + "x" * 1024 + "\ne 2 3\ne 4 4\n",
             5,
             "self-loop",
             id="batch-loop",
@@ -153,6 +153,15 @@ def test_write_rejects_short_weight_vector():
     g, _ = read_instance("p edge 3 1\ne 1 2\n")
     with pytest.raises(ValueError, match="does not match node count"):
         write_instance(g, [1, 1])
+
+
+@pytest.mark.parametrize("weight", [2**62, 1.5, False], ids=["too_large", "float", "bool"])
+def test_write_refuses_a_weight_that_would_not_read_back(weight):
+    # Written out, each reads back as an error: a magnitude above 2^61, or
+    # "1.5" and "False", which are not integers.
+    g, _ = read_instance("p edge 2 1\ne 1 2\n")
+    with pytest.raises(ValueError, match="node 0"):
+        write_instance(g, [weight, 1])
 
 
 def test_an_empty_comment_is_written_as_a_bare_c_line():
@@ -209,8 +218,8 @@ def test_parse_holds_no_edge_list_and_a_right_sized_store(tmp_path):
         tracemalloc.stop()
     assert g.m > 10_000
     # A list of parsed (u, v) tuples alone costs about 120 bytes per edge.
-    # The reader's 1 KiB batches measure about 1 byte per edge; 64 KiB
-    # batches would measure about 27.
+    # The reader holds one line and its tokens at a time, and a name table
+    # of the file's few hundred ids: about 1 byte per edge.
     assert (peak - retained) / g.m < 8
     # One 8-byte word per arc, plus per-node headers and the weights: about
     # 9 bytes per arc.  Presized frozensets measured about 40.
@@ -218,16 +227,46 @@ def test_parse_holds_no_edge_list_and_a_right_sized_store(tmp_path):
     assert_right_sized_store(g)
 
 
+_EDGE_LINE = re.compile(r"(?m)^e (\d+) (\d+)$")
+
+
 def test_the_line_loop_fills_a_right_sized_store_too(monkeypatch):
-    g, w, _ = generate(GenSpec("line_graph_cover3", 1 << 14, seed=3))
+    g, w, _ = generate(GenSpec("line_graph_cover3", 1 << 14, 1, 1 << 40, seed=3))
     text = write_instance(g, w)
-    batched, _ = read_instance(text)
-    monkeypatch.setattr(instances, "_edge_batch", lambda *args: None)
-    looped, _ = read_instance(text)
-    assert_right_sized_store(looped)
-    assert [looped.neighbors(v) for v in range(looped.n)] == [
-        batched.neighbors(v) for v in range(batched.n)
-    ]
+    parsed = []
+    parse_int = instances._parse_int
+    monkeypatch.setattr(instances, "_parse_int", lambda *args: parsed.append(args) or parse_int(*args))
+    # Each route reads the ends as written and swapped, so that ids 1 and n
+    # each come first and second.  The name table answers every plain id,
+    # and only the problem line and the weight lines are parsed.  "+k" never
+    # enters the table, so every edge line is checked whole: two parsed ints
+    # more each.
+    for edge in (r"e \1 \2", r"e \2 \1", r"e +\1 +\2", r"e +\2 +\1"):
+        checked = g.m if "+" in edge else 0
+        parsed.clear()
+        looped, _ = read_instance(_EDGE_LINE.sub(edge, text))
+        assert len(parsed) == 2 * (1 + sum(x != 1 for x in w) + checked)
+        assert_right_sized_store(looped)
+        assert [looped.neighbors(v) for v in range(looped.n)] == [g.neighbors(v) for v in range(g.n)]
+
+
+def test_the_name_table_is_bounded(tmp_path):
+    # A cycle file names each node in two edge lines only, so a table that
+    # kept every token would hold 2^15 strings and entries.
+    g, w, _ = generate(GenSpec("cycle", 1 << 15, seed=1))
+    path = tmp_path / "cycle.txt"
+    path.write_text(write_instance(g, w))
+    del g, w
+    tracemalloc.start()
+    try:
+        with open(path) as fh:
+            g, _ = read_instance(fh)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Per edge: 136 bytes for the per-node lists alone (the reader without
+    # a table), 155 with the bounded table, 219 with an unbounded one.
+    assert (peak - retained) / g.m < 185
 
 
 # SHA-256 of ``write_instance(g, w, cert.comment_lines())`` for one spec per
@@ -291,29 +330,16 @@ def test_streamed_writer_holds_no_text_of_the_instance(tmp_path):
     assert peak / g.m < 8
 
 
-class _Batches:
-    """A text stream whose ``readlines`` hands out ``size`` lines at a time,
-    whatever the hint."""
-
-    def __init__(self, text: str, size: int):
-        self._lines = io.StringIO(text, newline=None).readlines()
-        self._size = size
-
-    def readlines(self, hint: int = -1) -> list[str]:
-        batch, self._lines = self._lines[: self._size], self._lines[self._size :]
-        return batch
-
-
-def _outcome(source):
+def _outcome(text):
     try:
-        g, w = read_instance(source)
+        g, w = read_instance(text)
     except InstanceFormatError as exc:
         return exc.line_no, exc.message
-    return g.n, g.m, [g.neighbor_set(v) for v in range(g.n)], w
+    return g.n, g.m, [g.neighbors(v) for v in range(g.n)], w
 
 
-# Edge lines that each batch check must refuse or accept as the line loop
-# does, after a first edge line so that every batch is offered to it.
+# Edge lines after a first edge line, whose ids the name table then holds:
+# each must be refused or accepted as the checks on a line of its own would.
 _EDGE_CASES = [
     "p edge 4 3\ne 1 2\n" + body
     for body in (
@@ -330,38 +356,32 @@ _EDGE_CASES = [
         "e 2 1\ne 2 1",  # duplicates, no final newline
         "e 3 4\nc note\n\nn 2 -5\ne 2 4\n",  # comment, blank and weight lines
         "e 3 4\ne 2 \u0663\n",  # a non-ASCII digit, which int() reads as 3
+        "e 3 4\ne 1 " + "9" * 5000 + "\n",  # more digits than int() converts
+        "e 3 4\ne 1 " + "0" * 5000 + "2\n",  # the same, in range but for zeros
+        "e 3 4\ne 1 00000002\n",  # zeros, one digit past the largest id's
+        "e 3 4\ne 2 0\n",  # id below range, second
     )
 ]
 
+# SHA-256 over the repr of ``_outcome`` of each text of ``mutant_corpus()``
+# and ``_EDGE_CASES``, one line each, taken from the reader that checked
+# runs of edge lines as a whole beside its line loop.
+OUTCOME_DIGEST = "7d69ee87e6ebf55f8d9d6f261b59f74f0c1dc320a8c4ccc5720619bb7d4329b1"
 
-def test_batched_edge_lines_read_like_the_line_loop(monkeypatch):
-    accepted = []
-    edge_batch = instances._edge_batch
 
-    def counted(*args):
-        ends = edge_batch(*args)
-        accepted.append(ends is not None)
-        return ends
-
+def test_reader_outcomes_are_pinned():
     texts = [data.decode("ascii", "surrogateescape") for data in mutant_corpus()]
-    texts += _EDGE_CASES
-    monkeypatch.setattr(instances, "_edge_batch", lambda *args: None)
-    expected = [_outcome(text) for text in texts]
-    monkeypatch.setattr(instances, "_edge_batch", counted)
-    for text, want in zip(texts, expected):
-        assert _outcome(_Batches(text, 1)) == want
-        assert _outcome(_Batches(text, 2)) == want
-        assert _outcome(text) == want
-    assert sum(accepted) > 10_000 and not all(accepted)
+    digest = hashlib.sha256()
+    for text in texts + _EDGE_CASES:
+        digest.update(repr(_outcome(text)).encode("ascii", "backslashreplace") + b"\n")
+    assert digest.hexdigest() == OUTCOME_DIGEST
 
 
-@pytest.mark.parametrize("size", [1, 2, 1 << 20])
-def test_a_line_that_starts_without_e_is_not_an_edge_line(size):
-    # Three tokens per line on average and "e" at every third token: only
-    # the count of "\ne" tells that the second line does not start with "e".
-    assert instances._edge_batch(["e 1\n", "2 e 3 4\n"], 4, 2) is None
+def test_a_line_that_starts_without_e_is_not_an_edge_line():
+    # Three tokens per line on average and "e" at every third token, yet the
+    # second line does not start with "e".
     for text, line in (("p edge 4 2\ne 1\n2 e 3 4\n", 2),
                        ("p edge 4 3\ne 1 2\ne 1\n2 e 3 4\n", 3)):
         with pytest.raises(InstanceFormatError, match="malformed edge line") as excinfo:
-            read_instance(_Batches(text, size))
+            read_instance(text)
         assert excinfo.value.line_no == line
