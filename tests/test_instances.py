@@ -377,11 +377,14 @@ def test_reader_outcomes_are_pinned():
     assert digest.hexdigest() == OUTCOME_DIGEST
 
 
-def test_a_line_that_starts_without_e_is_not_an_edge_line():
+@pytest.mark.parametrize("size", [1, 2, 1 << 20])
+def test_a_line_that_starts_without_e_is_not_an_edge_line(size):
     # Three tokens per line on average and "e" at every third token, yet the
-    # second line does not start with "e".
+    # second line does not start with "e".  Read as a text file whose byte
+    # buffer holds ``size`` bytes, so that small buffers split every line.
     for text, line in (("p edge 4 2\ne 1\n2 e 3 4\n", 2),
                        ("p edge 4 3\ne 1 2\ne 1\n2 e 3 4\n", 3)):
+        raw = io.BufferedReader(io.BytesIO(text.encode("ascii")), buffer_size=size)
         with pytest.raises(InstanceFormatError, match="malformed edge line") as excinfo:
-            read_instance(text)
+            read_instance(io.TextIOWrapper(raw, encoding="ascii"))
         assert excinfo.value.line_no == line
