@@ -3,7 +3,10 @@
 The solvers in this package are analysed by the number of adjacency queries
 they make, so every pairwise adjacency decision on a solve path is charged
 to a per-context counter: one by one through :meth:`Graph.adjacent`, or by
-a batch primitive, which charges exactly the pairs it decides.  Direct
+a batch primitive, which charges the pairs it decides.  A weighted solve
+charges each pair once: it runs on a view from
+:func:`asking_each_pair_once`, which shares the graph's store and counter
+and charges only the pairs that the solve has not decided before.  Direct
 structure access (the neighbor tuples and sets) is free and intentionally not
 counted; it is only used where the algorithm genuinely reads stored data
 rather than asking "is u adjacent to v?".  The solve path has two such
@@ -88,8 +91,88 @@ class Graph:
         at 0."""
         return Graph(self._nbrs)
 
+    def _charge_rows(self, nodes: Sequence[int], rows: int) -> None:
+        """Charge the pairs of the first ``rows`` nodes of ``nodes`` with
+        the nodes after them, decided in a batch."""
+        self.counter.count += sum(range(len(nodes) - rows, len(nodes)))
+
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+class _PairTable(Graph):
+    """A solve's view of a graph that charges each pair of ``keep`` once.
+
+    It shares the graph's store and query counter.  Every query is answered
+    from the store, but only a pair the view has not decided before is
+    charged.  ``_rows[i]`` is the bitmask of the kept positions j whose pair
+    with the i-th kept node is decided; a node counts as decided with
+    itself, and both rows of a pair are set, so a batch of pairs is charged
+    and recorded by a few big-int operations per node, with one popcount
+    each.  ``_bit[j]`` is 1 << j.  For k kept nodes the full rows take
+    about k^2 / 8 bytes and ``_bit`` half that: sized by ``keep``, never by
+    ``n``.
+    """
+
+    __slots__ = ("_pos", "_bit", "_rows")
+
+    def __init__(self, g: Graph, keep: Sequence[int]):
+        # Graph.__init__ would give the view a counter of its own.
+        self.n, self.m, self._nbrs, self.counter = g.n, g.m, g._nbrs, g.counter
+        # ``keep`` is range(n), or the ascending list of the kept ids.
+        self._pos = None if isinstance(keep, range) else {v: i for i, v in enumerate(keep)}
+        self._bit = [1 << i for i in range(len(keep))]
+        self._rows = list(self._bit)
+
+    def adjacent(self, u: int, v: int) -> bool:
+        pos, rows, bit = self._pos, self._rows, self._bit
+        if pos is None:
+            i, j = u, v
+        else:
+            i, j = pos[u], pos[v]
+        if not rows[i] & bit[j]:
+            rows[i] |= bit[j]
+            rows[j] |= bit[i]
+            self.counter.count += 1
+        nbrs = self._nbrs[u]
+        k = bisect_left(nbrs, v)
+        return k < len(nbrs) and nbrs[k] == v
+
+    def _charge_rows(self, nodes: Sequence[int], rows: int) -> None:
+        """Charge and record the undecided pairs with an end among the
+        first ``rows`` nodes of the distinct ``nodes``."""
+        pos, table, bit = self._pos, self._rows, self._bit
+        at = nodes if pos is None else [pos[v] for v in nodes]
+        head = sum(bit[i] for i in at[:rows])
+        every = head + sum(bit[i] for i in at[rows:])
+        # A pair inside the head is undecided in both of its rows.
+        twice = 0
+        for i in at[:rows]:
+            known = table[i]
+            twice += 2 * (every & ~known).bit_count() - (head & ~known).bit_count()
+            table[i] = known | every
+        for i in at[rows:]:
+            table[i] |= head
+        self.counter.count += twice // 2
+
+
+def asking_each_pair_once(g: Graph, keep: Sequence[int]) -> Graph:
+    """``g`` as one solve over ``keep`` should ask it: a view that charges
+    each pair of ``keep`` at most once when the subgraph is dense enough
+    for its table, else ``g`` itself.
+
+    The test is k^2 <= 8 m_k + 4k for k kept nodes spanning m_k edges.  A
+    graph with alpha <= 3 passes it: its complement has no K4, so by Turan
+    m_k >= k^2 / 6 - k / 2.  So the table's k^2 bits are O(m_k + k).
+    ``keep`` is range(g.n), or the ascending list of the kept ids.
+    """
+    k = len(keep)
+    if isinstance(keep, range):
+        m_k = g.m
+    else:
+        kept = set(keep)
+        m_k = sum(len(kept.intersection(g._nbrs[v])) for v in keep) // 2
+    return _PairTable(g, keep) if k * k <= 8 * m_k + 4 * k else g
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -129,18 +212,21 @@ def is_clique_or_witness(g: Graph, nodes: Sequence[int]) -> tuple[int, int] | No
 
     Costs O(k^2) adjacency queries for k nodes.  Empty and singleton sets
     are cliques vacuously.  Row u, the pairs of u with the nodes after it,
-    is decided by one set difference and charged its length; a row that
-    fails is scanned pair by pair, which charges the pairs up to the first
+    is decided by one set difference.  The rows before the first that fails
+    are charged together, through ``g._charge_rows``: their lengths, or on
+    a solve's pair table their pairs not decided before.  The failing row
+    is scanned pair by pair, which charges the pairs up to the first
     non-neighbour, exactly as a scan alone would.
     """
-    for i, u in enumerate(nodes):
+    for i, u in enumerate(nodes[:-1]):
         row = nodes[i + 1 :]
         if 0 <= u < g.n and not set(row).difference(g._nbrs[u]):
-            g.counter.count += len(row)
             continue
+        g._charge_rows(nodes, i)
         for v in row:
             if not g.adjacent(u, v):
                 return (u, v)
+    g._charge_rows(nodes, len(nodes))
     return None
 
 

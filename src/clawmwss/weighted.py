@@ -13,7 +13,8 @@ nothing, and the answer stays exact when a claw breaks the monotone
 predicate.  The top-level solver enumerates the handful of shapes a size-3
 stable set can take relative to a maximum stable triple and returns the
 best candidate overall; the anchor partition comes from the cardinality
-phase, so no anchor adjacency is asked twice.
+phase.  The solve runs on ``graph.asking_each_pair_once``'s view, so no
+pair is charged twice, whichever stage decided it first.
 
 The pair searches are output-sensitive: they walk nodes heaviest first, a
 node's best partner is its first non-neighbour, and a search stops once no
@@ -34,6 +35,7 @@ from .errors import ClawWitnessError
 from .graph import (
     Graph,
     OrderedCliquePrefix,
+    asking_each_pair_once,
     check_weights,
     is_clique_or_witness,
     is_null_to,
@@ -308,7 +310,9 @@ def mwss_alpha3(g: Graph, weights: Sequence[int]) -> SolveOutcome:
     weighted phase takes the best candidate over: stable sets meeting a
     maximum stable triple, the three disjoint-triple shapes, all small
     stable sets, and the empty set.  No graph is built and every node id,
-    in the outcome and in a ClawWitnessError, is an id of g.
+    in the outcome and in a ClawWitnessError, is an id of g.  Both phases
+    charge g's counter each pair at most once whenever the kept nodes
+    could have alpha <= 3 (see ``graph.asking_each_pair_once``).
 
     Raises ValueError unless ``weights`` holds one ``int`` (not a ``bool``)
     per node, each of magnitude at most 2^61.
@@ -318,6 +322,7 @@ def mwss_alpha3(g: Graph, weights: Sequence[int]) -> SolveOutcome:
         keep: Sequence[int] = range(g.n)
     else:
         keep = [v for v in range(g.n) if weights[v] >= 0]
+    g = asking_each_pair_once(g, keep)
     report = stable_set_min_alpha4(g, keep)
     if report.exact_alpha is None:
         return AlphaAtLeast4(report.nodes)

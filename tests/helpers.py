@@ -27,6 +27,13 @@ def star(leaves: int) -> Graph:
     return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def cycle_power(k: int) -> Graph:
+    """C_n^k with n = 4(k + 1) - 1: node i is adjacent to i +- 1..k mod n.
+    A claw-free proper circular-arc graph with alpha = 3."""
+    n = 4 * (k + 1) - 1
+    return build_graph(n, [(i, (i + d) % n) for i in range(n) for d in range(1, k + 1)])
+
+
 def random_graph(rng: SplitMix64, n: int, percent: int) -> Graph:
     edges = [
         (u, v)

@@ -2,7 +2,13 @@ import pytest
 
 from clawmwss import Graph, build_graph, stable_set_min_alpha4
 from clawmwss.gen import SplitMix64
-from clawmwss.graph import induced_subgraph, is_clique_or_witness, is_null_to
+from clawmwss.graph import (
+    _PairTable,
+    asking_each_pair_once,
+    induced_subgraph,
+    is_clique_or_witness,
+    is_null_to,
+)
 from clawmwss.instances import write_instance
 from clawmwss.structure import classify
 
@@ -165,6 +171,65 @@ def test_clique_rows_charge_what_the_pair_loop_charges():
     for nodes in ([0, 1, 7], [7, 0], [-1, 0]):
         with pytest.raises(IndexError):
             is_clique_or_witness(complete(3), nodes)
+
+
+def _shuffled(rng, nodes):
+    nodes = list(nodes)
+    for i in range(len(nodes) - 1, 0, -1):
+        j = rng.below(i + 1)
+        nodes[i], nodes[j] = nodes[j], nodes[i]
+    return nodes
+
+
+def test_the_pair_table_charges_each_decided_pair_once():
+    # Single queries and clique checks in any order, over all ids or a
+    # subset: the count is always the number of distinct pairs decided so
+    # far, and every answer and witness is the plain graph's.
+    rng = SplitMix64(1414)
+    for _ in range(400):
+        n = rng.randint(1, 24)
+        g = random_graph(rng, n, rng.randint(40, 100))
+        keep = range(n) if rng.below(2) else [v for v in range(n) if rng.below(4)]
+        view = _PairTable(g, keep)
+        decided = set()
+        for _ in range(rng.randint(1, 12)):
+            nodes = _shuffled(rng, [v for v in keep if rng.below(3)])
+            if len(nodes) >= 2 and rng.below(3) == 0:
+                u, v = nodes[:2]
+                assert view.adjacent(u, v) == (v in g.neighbor_set(u))
+                decided.add(frozenset((u, v)))
+            else:
+                witness = is_clique_or_witness(view, nodes)
+                assert witness == clique_witness_by_pairs(g.with_counter(), nodes)
+                stop = len(nodes) if witness is None else nodes.index(witness[0])
+                decided.update(
+                    frozenset((u, v)) for i, u in enumerate(nodes[:stop]) for v in nodes[i + 1 :]
+                )
+                if witness is not None:
+                    row = nodes[stop + 1 :]
+                    decided.update(frozenset((witness[0], v)) for v in row[: row.index(witness[1]) + 1])
+            assert view.counter.count == len(decided)
+        # The view charges the graph's own counter, which the benchmark's
+        # query probe collects.
+        assert view.counter is g.counter
+
+
+def test_the_pair_table_needs_a_dense_kept_subgraph():
+    # k^2 <= 8 m_k + 4k, with m_k counted inside keep: every subgraph with
+    # alpha <= 3 passes, and a table never outgrows O(m_k + k).
+    path = build_graph(9, [(v, v + 1) for v in range(5)])  # P6 and 3 lone nodes
+    k4 = build_graph(8, [(u, v) for u in range(4) for v in range(u + 1, 4)])  # and 4
+    cases = [
+        (build_graph(4, []), range(4), True),  # 16 <= 0 + 16
+        (build_graph(5, []), range(5), False),  # 25 > 0 + 20
+        (path, range(9), False),  # 81 > 40 + 36
+        (path, [0, 1, 2, 6, 7, 8], True),  # 36 <= 16 + 24
+        (k4, [0, 1, 4, 5, 6, 7], False),  # 36 > 8 + 24: 4 edges leave keep
+        (k4, [0, 1, 2, 4, 5, 6], True),
+    ]
+    for g, keep, table in cases:
+        view = asking_each_pair_once(g, keep)
+        assert isinstance(view, _PairTable) if table else view is g
 
 
 def test_null_examples():

@@ -14,6 +14,7 @@ from clawmwss.instances import dump_instance
 
 from helpers import (
     assert_right_sized_store,
+    bench_instances,
     edge_set,
     edges,
     mutant_corpus,
@@ -248,6 +249,22 @@ def test_the_line_loop_fills_a_right_sized_store_too(monkeypatch):
         assert len(parsed) == 2 * (1 + sum(x != 1 for x in w) + checked)
         assert_right_sized_store(looped)
         assert [looped.neighbors(v) for v in range(looped.n)] == [g.neighbors(v) for v in range(g.n)]
+
+
+def test_the_reader_parses_each_id_token_once(monkeypatch):
+    # The name table answers an id's every edge line after its first, so
+    # int() runs once per distinct id, plus twice for the problem line and
+    # for each weight line.  A table never filled, or never read, would
+    # parse both ends of each of the 4,292 edge lines.
+    g, w = bench_instances([1024, 4096], seed=0)[1]  # bench --seed 0 at 2^12
+    text = write_instance(g, w)
+    calls = []
+    monkeypatch.setattr(
+        instances, "int", lambda *args: calls.append(args) or int(*args), raising=False
+    )
+    read_instance(text)
+    assert g.m == 4_292
+    assert 0 < len(calls) <= g.n + 2 * sum(x != 1 for x in w) + 2
 
 
 def test_the_name_table_is_bounded(tmp_path):

@@ -1,0 +1,72 @@
+"""A second scaling family, not a line graph: the powers of cycles C_n^k.
+
+With n = 4(k + 1) - 1, node i is adjacent to the k nodes on each side of
+it.  Any two nodes of a stable set are more than k apart on the circle, so
+alpha <= floor(n / (k + 1)) = 3, and {0, k+1, 2(k+1)} attains it; the
+neighbours of i are the two cliques {i-k..i-1} and {i+1..i+k}, so no node
+has three pairwise non-adjacent neighbours.  The solve's query counts and
+outcomes are pinned at k = 15, 31 and 63; at k = 255 (m = 260,865) the
+solve asks each of the C(1023, 2) pairs at most once.
+"""
+
+from math import comb, log2
+
+import pytest
+
+from clawmwss import Optimal, find_claw, mwss_alpha3, stable_set_min_alpha4
+from clawmwss.gen import SplitMix64
+from clawmwss.oracles import brute_alpha_min4, is_stable_set
+
+from helpers import cycle_power, first_claw
+
+# k: (queries of mwss_alpha3, its result line).  Weights are drawn from
+# SplitMix64(1), 1..100 per node in id order (ids 1-based, as ``solve``
+# prints them).
+PINNED = {
+    15: (1_953, "OPTIMAL weight=281 set=20,39,59"),
+    31: (8_001, "OPTIMAL weight=291 set=20,59,114"),
+    63: (32_385, "OPTIMAL weight=297 set=59,167,236"),
+}
+
+
+def _weights(n: int) -> list[int]:
+    rng = SplitMix64(1)
+    return [rng.randint(1, 100) for _ in range(n)]
+
+
+def _solve(k: int) -> tuple[int, str, int, int, int]:
+    """(solve queries, result line, cardinality queries, n, m) at k."""
+    g = cycle_power(k)
+    solve, card = g.with_counter(), g.with_counter()
+    out = mwss_alpha3(solve, _weights(g.n))
+    assert isinstance(out, Optimal)
+    stable_set_min_alpha4(card)
+    line = f"OPTIMAL weight={out.weight} set={','.join(str(v + 1) for v in out.nodes)}"
+    return solve.counter.count, line, card.counter.count, g.n, g.m
+
+
+@pytest.mark.parametrize("k", [1, 2, 15, 31])
+def test_cycle_powers_carry_their_certificates(k):
+    g = cycle_power(k)
+    n = g.n
+    assert n == 4 * (k + 1) - 1 and g.m == n * k
+    assert is_stable_set(g, [0, k + 1, 2 * (k + 1)])
+    for i in range(n):
+        for side in (range(i - k, i), range(i + 1, i + k + 1)):
+            clique = [v % n for v in side]
+            assert all(g.adjacent(u, v) for j, u in enumerate(clique) for v in clique[j + 1 :])
+        assert sorted(g.neighbors(i)) == sorted(v % n for v in range(i - k, i + k + 1) if v != i)
+    if k == 15:
+        assert first_claw(g)[0] is None and find_claw(g) is None
+        assert brute_alpha_min4(g) == 3
+
+
+def test_cycle_power_solves_are_pinned_and_scale():
+    runs = {k: _solve(k) for k in (15, 31, 63, 255)}
+    assert {k: runs[k][:2] for k in PINNED} == PINNED
+    queries, _, _, n, _ = runs[255]
+    assert queries <= comb(n, 2) == 522_753
+    weighted = [q / (m * log2(n + 2)) for q, _, _, n, m in runs.values()]
+    cardinality = [c / m for _, _, c, _, m in runs.values()]
+    assert max(weighted) / min(weighted) <= 3.0
+    assert max(cardinality) / min(cardinality) <= 3.0

@@ -12,9 +12,9 @@ from clawmwss import (
     mwss_alpha3,
     stable_set_min_alpha4,
 )
-from clawmwss import weighted
+from clawmwss import cardinality, graph, weighted
 from clawmwss.gen import SplitMix64, sample_spec
-from clawmwss.graph import induced_subgraph
+from clawmwss.graph import Graph, induced_subgraph
 from clawmwss.oracles import (
     brute_alpha_min4,
     brute_mwss,
@@ -38,12 +38,14 @@ from helpers import (
     bench_instances,
     complete,
     cycle,
+    cycle_power,
     first_claw,
     prefix_rows,
     random_clawfree,
     random_graph,
     with_lightest_negative,
 )
+from test_result_lines import _corpus
 
 
 def _greedy_clique(g, start):
@@ -662,3 +664,64 @@ def test_negative_weight_builds_no_second_graph():
     g, weights = bench_instances([1024, 4096, 16384], seed=0)[2]  # bench --seed 0 at 2^14
     positive = _traced_peak(g, weights)
     assert _traced_peak(g, with_lightest_negative(weights)) <= 4 * positive
+
+
+@pytest.mark.parametrize("kept", [1 << 16, 64])
+def test_the_pair_table_is_sized_by_the_kept_nodes_never_by_the_header(kept):
+    # A table over all 2^16 ids would take 2^32 bits.  The edgeless graph
+    # is too sparse for a table at all; in the other, only a 64-node clique
+    # has non-negative weights, and the table covers those 64 nodes.
+    n = 1 << 16
+    g = build_graph(n, [] if kept == n else itertools.combinations(range(kept), 2))
+    assert _traced_peak(g, [1] * kept + [-1] * (n - kept)) / n <= 1
+
+
+def _log_decided_pairs(monkeypatch) -> list[tuple[int, int]]:
+    """From here on, log each pair a solve decides: every pair asked through
+    the oracle, and every pair of a clique check's passing rows."""
+    log = []
+    for cls in (Graph, graph._PairTable):
+
+        def asked(self, u, v, adjacent=cls.adjacent):
+            log.append((min(u, v), max(u, v)))
+            return adjacent(self, u, v)
+
+        monkeypatch.setattr(cls, "adjacent", asked)
+
+    def checked(g, nodes, check=graph.is_clique_or_witness):
+        witness = check(g, nodes)
+        passed = len(nodes) if witness is None else nodes.index(witness[0])
+        log.extend((min(u, v), max(u, v)) for i, u in enumerate(nodes[:passed]) for v in nodes[i + 1 :])
+        return witness
+
+    for module in (cardinality, weighted):
+        monkeypatch.setattr(module, "is_clique_or_witness", checked)
+    return log
+
+
+def test_a_solve_charges_each_pair_it_decides_once(monkeypatch):
+    # A solve that ends in an optimum has alpha <= 3 among its kept nodes,
+    # so it runs on the pair table: its count is the number of distinct
+    # pairs it decided, neither a repeat charged nor a pair left free.
+    cases = []
+    for g, weights in bench_instances([1024, 4096], seed=0):
+        cases += [(g, weights), (g, with_lightest_negative(weights))]
+    for k in (15, 31):
+        g, rng = cycle_power(k), SplitMix64(1)
+        cases.append((g, [rng.randint(1, 100) for _ in range(g.n)]))
+    corpus_from = len(cases)
+    cases += [(g, weights) for _, g, weights in _corpus()]
+    log = _log_decided_pairs(monkeypatch)
+    optima = 0
+    for i, (g, weights) in enumerate(cases):
+        log.clear()
+        view = g.with_counter()
+        try:
+            out = mwss_alpha3(view, weights)
+        except ClawWitnessError:
+            out = None
+        assert isinstance(out, Optimal) or i >= corpus_from
+        if isinstance(out, Optimal):
+            optima += 1
+            assert view.counter.count == len(set(log))
+    assert optima > 2_000
