@@ -21,7 +21,7 @@ node's best partner is its first non-neighbour, and a search stops once no
 candidate left can reach its best weight.  They ask at most the pairs of a
 full scan, often far fewer, and return the same answer.
 
-All ties break lexicographically on node tuples so outputs are reproducible.
+All ties go to the smaller sorted node tuple, so outputs are reproducible.
 """
 
 from __future__ import annotations
@@ -78,8 +78,7 @@ class _Best:
         self.weight = 0
 
     def offer(self, nodes: tuple[int, ...], weight: int) -> None:
-        """Compare ``nodes`` as given.  Every caller passes a sorted tuple
-        except ``weighted_three_sets``, which breaks ties on (x, y, z)."""
+        """Compare ``nodes`` as given; every caller passes a sorted tuple."""
         if (
             self.nodes is None
             or weight > self.weight
@@ -136,15 +135,17 @@ def _offer_pairs(g: Graph, weights: Sequence[int], nodes: Iterable[int], best: _
 def weighted_three_sets(
     g: Graph, weights: Sequence[int], xs: Sequence[int], ys: Sequence[int], zs: Sequence[int]
 ) -> tuple[tuple[int, int, int], int] | None:
-    """Maximum-weight stable triple (x, y, z) over X x Y x the clique Z.
+    """Maximum-weight stable triple over X x Y x the clique Z, sorted.
 
     Z is sorted by (-weight, id), so for each non-adjacent probe pair the
     heaviest compatible clique node is ``first_free`` of the pair.  X and Y
     are walked in the same order, and both loops stop once x, y and the
     heaviest clique node weigh strictly less than the best triple, so at
     most |X| * |Y| pairs are asked, plus p queries for the mask of each
-    probe of a non-adjacent pair.  Returns the best triple with its
-    weight, or None when no stable triple exists.
+    probe of a non-adjacent pair.  Returns the best triple, sorted, with its
+    weight, or None when no stable triple exists.  Ties go to the smaller
+    sorted triple, whatever the roles: the loops reach its pair, and a free
+    clique node before its z would give a smaller sorted triple as heavy.
     The caller proves that X, Y, Z are disjoint parts of one ``classify``
     partition and that Z is a clique (in ``extend_to_four`` or
     ``mwss_type_cycle6``).
@@ -167,7 +168,7 @@ def weighted_three_sets(
                 continue
             z = clique.first_free(x, y)
             if z is not None:
-                best.offer((x, y, z), wx + weights[y] + weights[z])
+                best.offer(tuple(sorted((x, y, z))), wx + weights[y] + weights[z])
     return best.result()
 
 
@@ -201,7 +202,7 @@ def mwss_intersecting(g: Graph, weights: Sequence[int], cls: Classification) -> 
     best = _Best()
     for v in cls.anchors:
         b, c = (a for a in cls.anchors if a != v)
-        pool = sorted((b, c, *cls.exclusive_to(b), *cls.exclusive_to(c), *cls.shared_by(b, c)))
+        pool = (b, c, *cls.exclusive_to(b), *cls.exclusive_to(c), *cls.shared_by(b, c))
         best.offer((v,), weights[v])
         sub = mwss_small(g, weights, pool)  # never None: b and c are in the pool
         best.add(((v,) + sub[0], weights[v] + sub[1]))
@@ -276,16 +277,15 @@ def mwss_type_iii(g: Graph, weights: Sequence[int], cls: Classification) -> Foun
     4-cycle.  The first two shapes reduce to the triple search; in the
     4-cycle shape the exclusive set of a has no edges to the (b,c)-shared
     set, so the heaviest node and the heaviest non-adjacent pair combine
-    freely.
+    freely.  The two short paths take one node from each exclusive set, so
+    one search serves every lone anchor: ``weighted_three_sets`` ignores roles.
     """
+    s, t, u = cls.anchors
     best = _Best()
-    for a in cls.anchors:
-        b, c = (x for x in cls.anchors if x != a)
+    best.add(weighted_three_sets(g, weights, *(cls.exclusive_to(a) for a in (t, u, s))))
+    for a, b, c in ((s, t, u), (t, s, u), (u, s, t)):
         f_a = cls.exclusive_to(a)
         shared_bc = cls.shared_by(b, c)
-        best.add(
-            weighted_three_sets(g, weights, cls.exclusive_to(b), cls.exclusive_to(c), f_a)
-        )
         best.add(weighted_three_sets(g, weights, shared_bc, cls.exclusive_to(c), f_a))
         best.add(weighted_three_sets(g, weights, shared_bc, cls.exclusive_to(b), f_a))
         if f_a and len(shared_bc) >= 2:

@@ -5,11 +5,12 @@ it.  Any two nodes of a stable set are more than k apart on the circle, so
 alpha <= floor(n / (k + 1)) = 3, and {0, k+1, 2(k+1)} attains it; the
 neighbours of i are the two cliques {i-k..i-1} and {i+1..i+k}, so no node
 has three pairwise non-adjacent neighbours.  The solve's query counts and
-outcomes are pinned at k = 15, 31 and 63; at k = 255 (m = 260,865) the
-solve asks each of the C(1023, 2) pairs at most once.
+outcomes, and the queries of ``stable_set_min_alpha4`` alone, are pinned
+at k = 15, 31, 63, 127 and 255 (m = 260,865); each solve count is C(n, 2),
+one query per pair.
 """
 
-from math import comb, log2
+from math import log2
 
 import pytest
 
@@ -19,13 +20,15 @@ from clawmwss.oracles import brute_alpha_min4, is_stable_set
 
 from helpers import cycle_power, first_claw
 
-# k: (queries of mwss_alpha3, its result line).  Weights are drawn from
-# SplitMix64(1), 1..100 per node in id order (ids 1-based, as ``solve``
-# prints them).
+# k: (queries of mwss_alpha3, its result line, queries of
+# stable_set_min_alpha4).  Weights are drawn from SplitMix64(1), 1..100 per
+# node in id order (ids 1-based, as ``solve`` prints them).
 PINNED = {
-    15: (1_953, "OPTIMAL weight=281 set=20,39,59"),
-    31: (8_001, "OPTIMAL weight=291 set=20,59,114"),
-    63: (32_385, "OPTIMAL weight=297 set=59,167,236"),
+    15: (1_953, "OPTIMAL weight=281 set=20,39,59", 1_758),
+    31: (8_001, "OPTIMAL weight=291 set=20,59,114", 7_102),
+    63: (32_385, "OPTIMAL weight=297 set=59,167,236", 28_542),
+    127: (130_305, "OPTIMAL weight=299 set=59,236,402", 114_430),
+    255: (522_753, "OPTIMAL weight=300 set=178,470,778", 458_238),
 }
 
 
@@ -62,10 +65,8 @@ def test_cycle_powers_carry_their_certificates(k):
 
 
 def test_cycle_power_solves_are_pinned_and_scale():
-    runs = {k: _solve(k) for k in (15, 31, 63, 255)}
-    assert {k: runs[k][:2] for k in PINNED} == PINNED
-    queries, _, _, n, _ = runs[255]
-    assert queries <= comb(n, 2) == 522_753
+    runs = {k: _solve(k) for k in PINNED}
+    assert {k: runs[k][:3] for k in PINNED} == PINNED
     weighted = [q / (m * log2(n + 2)) for q, _, _, n, m in runs.values()]
     cardinality = [c / m for _, _, c, _, m in runs.values()]
     assert max(weighted) / min(weighted) <= 3.0

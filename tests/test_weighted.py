@@ -132,9 +132,9 @@ def _role_configs(cls):
 
 
 def _brute_best_triple(g, weights, xs, ys, zs):
-    """(weight, (x, y, z)) of the heaviest stable triple, ties to the
-    smallest tuple, or None."""
-    triples = (t for t in itertools.product(xs, ys, zs) if is_stable_set(g, t))
+    """(weight, sorted triple) of the heaviest stable triple, ties to the
+    smallest sorted triple, or None."""
+    triples = (tuple(sorted(t)) for t in itertools.product(xs, ys, zs) if is_stable_set(g, t))
     weighed = ((sum(weights[v] for v in t), t) for t in triples)
     return min(weighed, key=lambda cand: (-cand[0], cand[1]), default=None)
 
@@ -182,6 +182,25 @@ def test_weighted_three_sets_exact_on_ties():
     # Weights 1..3 make many triples tie: the search may skip only triples
     # strictly lighter than its best, so the exact (x, y, z) must survive.
     _check_three_sets_on_random_graphs(68, 1, 3)
+
+
+def test_weighted_three_sets_ignores_which_exclusive_set_plays_which_role():
+    # mwss_type_iii searches E_b x E_c x E_a (E_a the exclusive set of
+    # anchor a) for one lone anchor only, which covers the other two because
+    # every rotation returns the same sorted triple.  Weights 1..2 make ties.
+    rng = SplitMix64(69)
+    found_some = 0
+    for g, weights, _, report in itertools.islice(alpha3_instances(SplitMix64(66), 25), 300):
+        cls = classify(g, range(g.n), report.nodes)
+        s, t, u = cls.anchors
+        for ws in (weights, [rng.randint(1, 2) for _ in range(g.n)]):
+            found = {
+                weighted_three_sets(g, ws, *(cls.exclusive_to(v) for v in (b, c, a)))
+                for a, b, c in ((s, t, u), (t, s, u), (u, s, t))
+            }
+            assert len(found) == 1
+            found_some += found != {None}
+    assert found_some >= 300
 
 
 def test_prefix_predicate_is_monotone():
@@ -313,12 +332,13 @@ def test_mwss_intersecting_prefers_heavy_anchor():
 def test_anchor_classification_is_reused_exactly(monkeypatch):
     # The report carries the partition extend_to_four built for its triple,
     # and mwss_intersecting reads each anchor's pool from it: both must
-    # equal what fresh adjacency answers give.
+    # equal what fresh adjacency answers give.  A pool's order is free, as
+    # mwss_small orders it by weight.
     pools = []
     pool_search = weighted.mwss_small
 
     def recording(g, weights, pool):
-        pools.append(list(pool))
+        pools.append(sorted(pool))
         return pool_search(g, weights, pool)
 
     def keep(g):
