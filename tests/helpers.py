@@ -34,6 +34,13 @@ def cycle_power(k: int) -> Graph:
     return build_graph(n, [(i, (i + d) % n) for i in range(n) for d in range(1, k + 1)])
 
 
+def cycle_power_weights(n: int) -> list[int]:
+    """The weights of the pinned C_n^k solves: SplitMix64(1), 1..100 per
+    node in id order."""
+    rng = SplitMix64(1)
+    return [rng.randint(1, 100) for _ in range(n)]
+
+
 def random_graph(rng: SplitMix64, n: int, percent: int) -> Graph:
     edges = [
         (u, v)
@@ -265,13 +272,15 @@ def min_alpha4_by_full_passes(g: Graph, nodes) -> StableSetReport:
     return StableSetReport(triple, cls) if quad is None else StableSetReport(quad)
 
 
+def bench_specs(sizes, seed: int) -> list[GenSpec]:
+    """The specs that ``cli.run_bench(sizes, seed)`` generates."""
+    rng = SplitMix64(seed)
+    return [GenSpec("line_graph_cover3", size=size, seed=rng.next_u64()) for size in sizes]
+
+
 def bench_instances(sizes, seed: int) -> list[tuple[Graph, list[int]]]:
     """The (graph, weights) pairs that ``cli.run_bench(sizes, seed)`` solves."""
-    rng = SplitMix64(seed)
-    return [
-        generate(GenSpec("line_graph_cover3", size=size, seed=rng.next_u64()))[:2]
-        for size in sizes
-    ]
+    return [generate(spec)[:2] for spec in bench_specs(sizes, seed)]
 
 
 def with_lightest_negative(weights: list[int]) -> list[int]:

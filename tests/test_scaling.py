@@ -15,14 +15,13 @@ from math import log2
 import pytest
 
 from clawmwss import Optimal, find_claw, mwss_alpha3, stable_set_min_alpha4
-from clawmwss.gen import SplitMix64
 from clawmwss.oracles import brute_alpha_min4, is_stable_set
 
-from helpers import cycle_power, first_claw
+from helpers import cycle_power, cycle_power_weights, first_claw
 
 # k: (queries of mwss_alpha3, its result line, queries of
-# stable_set_min_alpha4).  Weights are drawn from SplitMix64(1), 1..100 per
-# node in id order (ids 1-based, as ``solve`` prints them).
+# stable_set_min_alpha4), with ``cycle_power_weights`` (ids 1-based, as
+# ``solve`` prints them).
 PINNED = {
     15: (1_953, "OPTIMAL weight=281 set=20,39,59", 1_758),
     31: (8_001, "OPTIMAL weight=291 set=20,59,114", 7_102),
@@ -32,16 +31,11 @@ PINNED = {
 }
 
 
-def _weights(n: int) -> list[int]:
-    rng = SplitMix64(1)
-    return [rng.randint(1, 100) for _ in range(n)]
-
-
 def _solve(k: int) -> tuple[int, str, int, int, int]:
     """(solve queries, result line, cardinality queries, n, m) at k."""
     g = cycle_power(k)
     solve, card = g.with_counter(), g.with_counter()
-    out = mwss_alpha3(solve, _weights(g.n))
+    out = mwss_alpha3(solve, cycle_power_weights(g.n))
     assert isinstance(out, Optimal)
     stable_set_min_alpha4(card)
     line = f"OPTIMAL weight={out.weight} set={','.join(str(v + 1) for v in out.nodes)}"

@@ -1,12 +1,13 @@
 """A/B wall times of two source trees, from alternated child processes.
 
-    python tools/ab.py OLD_TREE NEW_TREE [--pairs 11] [--sizes 1024,...]
+    python tools/ab.py OLD_TREE NEW_TREE [--pairs 11]
 
 Stdlib only, and not part of tier-1.  Each tree is a checkout of this
-repository: its ``src`` holds the package and its ``tests/helpers.py`` the
-``cycle_power`` builder.  Each tree gets one worker, a child process that
-builds the instances once: the ``bench --seed 0`` family at ``--sizes``
-and C_n^k at k = 255 with SplitMix64(1) weights 1..100, the instance
+repository whose ``src`` holds the package.  Each tree gets one worker, a
+child process that builds the instances once with this checkout's
+``tests/helpers.py``, so both trees time the same instances: the
+``bench --seed 0`` family at the pinned bench sizes (``bench_specs``) and
+C_n^k at k = 255 with ``cycle_power_weights``, the instance
 ``tests/test_scaling.py`` pins.  The stages are the ones ``bench`` times
 at each size (generate, write, parse, solve, validate), plus the C_n^k
 solve.  The harness asks the two workers for one stage after the other,
@@ -32,16 +33,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-SIZES = "1024,4096,16384,65536,262144"
+SIZES = [1024, 4096, 16384, 65536, 262144]
 CYCLE_POWER_K = 255
+HELPERS = Path(__file__).resolve().parents[1] / "tests"
 
 # The worker: it prints its stage names as one JSON line, then answers each
 # stage name read from stdin with one JSON line [ns, queries or null].
 WORKER = """
 import json, sys, time
-from clawmwss import GenSpec, find_claw, generate, mwss_alpha3, read_instance, write_instance
-from clawmwss.gen import SplitMix64
-from helpers import cycle_power
+from clawmwss import find_claw, generate, mwss_alpha3, read_instance, write_instance
+from helpers import bench_specs, cycle_power, cycle_power_weights
 
 def timed(call):
     start = time.perf_counter_ns()
@@ -54,9 +55,7 @@ def counted(run, g, *args):
 
 sizes, k = json.loads(sys.argv[1]), int(sys.argv[2])
 stages = {}
-rng = SplitMix64(0)
-for size in sizes:
-    spec = GenSpec(kind="line_graph_cover3", size=size, seed=rng.next_u64())
+for spec in bench_specs(sizes, 0):
     g, weights, _ = generate(spec)
     text = write_instance(g, weights)
     stages[f"gen m={g.m}"] = lambda spec=spec: (timed(lambda: generate(spec)), None)
@@ -65,8 +64,7 @@ for size in sizes:
     stages[f"solve m={g.m}"] = lambda g=g, w=weights: counted(mwss_alpha3, g, w)
     stages[f"validate m={g.m}"] = lambda g=g: counted(find_claw, g)
 g = cycle_power(k)
-rng = SplitMix64(1)
-weights = [rng.randint(1, 100) for _ in range(g.n)]
+weights = cycle_power_weights(g.n)
 stages[f"solve C_n^{k} m={g.m}"] = lambda: counted(mwss_alpha3, g, weights)
 print(json.dumps(list(stages)), flush=True)
 for line in sys.stdin:
@@ -77,10 +75,10 @@ for line in sys.stdin:
 class Worker:
     """One tree's worker process."""
 
-    def __init__(self, tree: Path, sizes: list[int]) -> None:
-        path = os.pathsep.join([str(tree / "src"), str(tree / "tests")])
+    def __init__(self, tree: Path) -> None:
+        path = os.pathsep.join([str(tree / "src"), str(HELPERS)])
         self.proc = subprocess.Popen(
-            [sys.executable, "-c", WORKER, json.dumps(sizes), str(CYCLE_POWER_K)],
+            [sys.executable, "-c", WORKER, json.dumps(SIZES), str(CYCLE_POWER_K)],
             env=dict(os.environ, PYTHONPATH=path),
             cwd=tree,
             stdin=subprocess.PIPE,
@@ -132,15 +130,13 @@ def main() -> int:
     parser.add_argument("old", type=Path, help="the tree to compare against")
     parser.add_argument("new", type=Path, help="the tree under test")
     parser.add_argument("--pairs", type=int, default=11)
-    parser.add_argument("--sizes", default=SIZES, help="comma-separated bench sizes")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    sizes = [int(tok) for tok in args.sizes.split(",")]
     workers = []
     try:
         for tree in (args.old, args.new):
-            workers.append(Worker(tree.resolve(), sizes))
+            workers.append(Worker(tree.resolve()))
         if workers[0].stages != workers[1].stages:
             raise RuntimeError("the two trees build different instances")
         times = {stage: ([], []) for stage in workers[0].stages}
@@ -155,7 +151,7 @@ def main() -> int:
     finally:
         for worker in workers:
             worker.close()
-    print(report(args.old.name, args.new.name, times, queries, args.pairs))
+    print(report(args.old.resolve().name, args.new.resolve().name, times, queries, args.pairs))
     return 0
 
 
