@@ -157,9 +157,9 @@ def verify_instances(count: int, seed: int, max_n: int) -> list[VerifyFailure]:
 
     Checks, per instance: the cardinality report size equals min(alpha, 4)
     and is stable; an alpha >= 4 outcome carries a stable 4-set; an optimal
-    outcome is stable, self-consistent, and matches the brute-force optimum
-    exactly.  The solver is the module's ``mwss_alpha3``, looked up on each
-    call, so a test can swap in a deliberately broken one.
+    outcome is stable, self-consistent, and equals the brute-force optimum
+    in weight and nodes.  The solver is the module's ``mwss_alpha3``,
+    looked up on each call, so a test can swap in a deliberately broken one.
     """
     rng = SplitMix64(seed)
     failures: list[VerifyFailure] = []
@@ -193,11 +193,13 @@ def _check_one(g: Graph, weights: list[int]) -> str | None:
     if total_weight(weights, outcome.nodes) != outcome.weight:
         return "reported weight does not match the reported set"
     try:
-        _, expected = brute_mwss(g, weights)
+        expected_nodes, expected = brute_mwss(g, weights)
     except ValueError:
         return "solver returned Optimal but nonnegative nodes have alpha >= 4"
     if outcome.weight != expected:
         return f"optimal weight {outcome.weight}, oracle weight {expected}"
+    if outcome.nodes != expected_nodes:
+        return f"optimal set {outcome.nodes}, oracle set {expected_nodes}"
     return None
 
 

@@ -11,17 +11,22 @@ instead.  A probe's mask is built the first time a pair needs it, at the p
 queries of its prefix counts, so probes the search never reaches cost
 nothing, and the answer stays exact when a claw breaks the monotone
 predicate.  The top-level solver enumerates the handful of shapes a size-3
-stable set can take relative to a maximum stable triple and returns the
-best candidate overall; the anchor partition comes from the cardinality
-phase.  The solve runs on ``graph.asking_each_pair_once``'s view, so no
-pair is charged twice, whichever stage decided it first.
+stable set can take relative to a maximum stable triple; the anchor
+partition comes from the cardinality phase.  The solve runs on
+``graph.asking_each_pair_once``'s view, so no pair is charged twice,
+whichever stage decided it first.
 
-The pair searches are output-sensitive: they walk nodes heaviest first, a
-node's best partner is its first non-neighbour, and a search stops once no
-candidate left can reach its best weight.  They ask at most the pairs of a
-full scan, often far fewer, and return the same answer.
+The solve keeps one running best, a ``_Best``, and every search offers its
+candidates into it and returns None.  The searches are output-sensitive:
+they walk nodes heaviest first, a node's best partner is its first
+non-neighbour, and a search stops once no candidate left can reach the
+best found so far by any search of the solve.  They ask at most the pairs
+of a full scan, often far fewer.
 
 All ties go to the smaller sorted node tuple, so outputs are reproducible.
+Pruning skips only candidates strictly lighter than the running best, so
+the optimum is the least (-weight, sorted tuple) over all candidates,
+whatever the order of the searches.
 """
 
 from __future__ import annotations
@@ -63,12 +68,9 @@ class Optimal:
 
 SolveOutcome = AlphaAtLeast4 | Optimal
 
-# A search result: (sorted node tuple, total weight).
-Found = tuple[tuple[int, ...], int]
-
 
 class _Best:
-    """Running best candidate: higher weight wins, ties go to the
+    """Running best candidate of a solve: higher weight wins, ties go to the
     lexicographically smaller node tuple."""
 
     __slots__ = ("nodes", "weight")
@@ -92,34 +94,35 @@ class _Best:
         no candidate of that weight can win, not even on a tie."""
         return self.nodes is not None and weight < self.weight
 
-    def add(self, found: Found | None) -> None:
-        """Offer a search result, with its nodes sorted."""
-        if found is not None:
-            self.offer(tuple(sorted(found[0])), found[1])
-
-    def result(self) -> Found | None:
-        return None if self.nodes is None else (self.nodes, self.weight)
-
 
 def _by_weight(weights: Sequence[int], nodes: Iterable[int]) -> list[int]:
     """``nodes`` sorted by (-weight, id): heaviest first, ties by id."""
     return sorted(nodes, key=lambda v: (-weights[v], v))
 
 
-def _offer_pairs(g: Graph, weights: Sequence[int], nodes: Iterable[int], best: _Best) -> None:
-    """Offer each node's best non-adjacent partner among ``nodes``.
+def _offer_pairs(
+    g: Graph, weights: Sequence[int], nodes: Iterable[int], best: _Best, extra: tuple[int, ...] = ()
+) -> None:
+    """Offer each node's best non-adjacent partner among ``nodes``, joined
+    by ``extra``.
 
-    Nodes are scanned in (-weight, id) order, and each node asks only the
-    partners after it in that order, stopping at the first non-neighbour: no
-    later partner is heavier, and among equal weights the smaller id gives
-    the smaller sorted pair.  A pair that comes earlier in the order is
-    covered by its other node's scan.  A scan, or the whole search, stops
-    once the pair weight falls strictly below ``best``, so only candidates
-    that cannot win are skipped.  At most C(k, 2) queries for k nodes.
+    A pair {a, b} is offered as ``tuple(sorted((a, b, *extra)))`` at its
+    weight plus the weight of ``extra``, whose nodes the caller proves
+    non-adjacent to each other and to every node of ``nodes``.  Nodes are
+    scanned in (-weight, id) order, and each node asks only the partners
+    after it in that order, stopping at the first non-neighbour: no later
+    partner is heavier, and among equal weights the smaller id gives the
+    smaller sorted set, also with ``extra`` added (of two equal-size sorted
+    sets, the one holding the least element of their symmetric difference is
+    smaller).  A pair that comes earlier in the order is covered by its other
+    node's scan.  A scan, or the whole search, stops once the weight falls
+    strictly below ``best``, so only candidates that cannot win are skipped.
+    At most C(k, 2) queries for k nodes.
     """
     order = _by_weight(weights, nodes)
+    w_extra = total_weight(weights, extra)
     for i, a in enumerate(order):
-        wa = weights[a]
+        wa = weights[a] + w_extra
         for j in range(i + 1, len(order)):
             b = order[j]
             w = wa + weights[b]
@@ -128,106 +131,101 @@ def _offer_pairs(g: Graph, weights: Sequence[int], nodes: Iterable[int], best: _
                     return  # every later pair is lighter still
                 break
             if not g.adjacent(a, b):
-                best.offer((a, b) if a < b else (b, a), w)
+                best.offer(tuple(sorted((a, b, *extra))), w)
                 break
 
 
 def weighted_three_sets(
-    g: Graph, weights: Sequence[int], xs: Sequence[int], ys: Sequence[int], zs: Sequence[int]
-) -> tuple[tuple[int, int, int], int] | None:
-    """Maximum-weight stable triple over X x Y x the clique Z, sorted.
+    g: Graph,
+    weights: Sequence[int],
+    xs: Sequence[int],
+    ys: Sequence[int],
+    zs: Sequence[int],
+    best: _Best,
+) -> None:
+    """Offer the maximum-weight stable triple over X x Y x the clique Z,
+    sorted, into ``best``; triples strictly lighter than ``best`` may be
+    skipped.
 
     Z is sorted by (-weight, id), so for each non-adjacent probe pair the
     heaviest compatible clique node is ``first_free`` of the pair.  X and Y
     are walked in the same order, and both loops stop once x, y and the
-    heaviest clique node weigh strictly less than the best triple, so at
-    most |X| * |Y| pairs are asked, plus p queries for the mask of each
-    probe of a non-adjacent pair.  Returns the best triple, sorted, with its
-    weight, or None when no stable triple exists.  Ties go to the smaller
-    sorted triple, whatever the roles: the loops reach its pair, and a free
-    clique node before its z would give a smaller sorted triple as heavy.
-    The caller proves that X, Y, Z are disjoint parts of one ``classify``
-    partition and that Z is a clique (in ``extend_to_four`` or
-    ``mwss_type_cycle6``).
+    heaviest clique node weigh strictly less than ``best``, so at most
+    |X| * |Y| pairs are asked, plus p queries for the mask of each probe of
+    a non-adjacent pair.  Ties go to the smaller sorted triple, whatever the
+    roles: the loops reach its pair, and a free clique node before its z
+    would give a smaller sorted triple as heavy.  The caller proves that X,
+    Y, Z are disjoint parts of one ``classify`` partition and that Z is a
+    clique (in ``extend_to_four`` or ``mwss_type_cycle6``).
     """
     if not xs or not ys or not zs:
-        return None
+        return
     order = _by_weight(weights, zs)
     clique = OrderedCliquePrefix.build(g, order)
     top_z = weights[order[0]]
     ys = _by_weight(weights, ys)
-    best = _Best()
     for x in _by_weight(weights, xs):
         wx = weights[x]
         for y in ys:
             if best.beats(wx + weights[y] + top_z):
                 if y == ys[0]:
-                    return best.result()  # every later x is lighter still
+                    return  # every later x is lighter still
                 break
             if g.adjacent(x, y):
                 continue
             z = clique.first_free(x, y)
             if z is not None:
                 best.offer(tuple(sorted((x, y, z))), wx + weights[y] + weights[z])
-    return best.result()
 
 
-def mwss_small(g: Graph, weights: Sequence[int], pool: Iterable[int]) -> Found | None:
-    """Best stable set of size 1 or 2 inside the pool.
+def mwss_small(g: Graph, weights: Sequence[int], pool: Sequence[int], best: _Best) -> None:
+    """Offer the best stable sets of size 1 and 2 inside the pool.
 
-    None when the pool is empty.  At most C(k, 2) adjacency queries for k
-    pool nodes: each node stops at its first non-neighbour (see
-    ``_offer_pairs``).  Node counts are O(sqrt(m)) whenever alpha <= 3.
+    At most C(k, 2) adjacency queries for k pool nodes: each node stops at
+    its first non-neighbour (see ``_offer_pairs``).  Node counts are
+    O(sqrt(m)) whenever alpha <= 3.
     """
-    nodes = list(pool)
-    best = _Best()
-    for v in nodes:
+    for v in pool:
         best.offer((v,), weights[v])
-    _offer_pairs(g, weights, nodes, best)
-    return best.result()
+    _offer_pairs(g, weights, pool, best)
 
 
-def mwss_intersecting(g: Graph, weights: Sequence[int], cls: Classification) -> Found | None:
-    """Best stable set meeting the stable triple T of ``cls``.
+def mwss_intersecting(g: Graph, weights: Sequence[int], cls: Classification, best: _Best) -> None:
+    """Offer the best stable triples meeting the stable triple T of ``cls``.
 
-    For each anchor v the remaining members must be non-neighbors of v, so
-    v plus the best small stable set among them covers every stable set
-    containing v (other anchors stay in the pool: sets with two or three
-    anchors surface in several iterations, which is harmless).  The pool is
-    read from the classification, which already asked every anchor
-    adjacency: the other two anchors, their exclusive sets and their shared
-    set.  T is not rechecked: ``stable_set_min_alpha4`` builds it stable and
-    asserts so.
+    For each anchor v the other two members must be non-neighbors of v, so
+    v joined to each pool node's best non-adjacent partner covers every
+    stable triple containing v (other anchors stay in the pool: triples
+    with two or three anchors surface in several iterations, which is
+    harmless).  Singles and pairs through v are not offered: ``mwss_small``
+    offers the best of those over all kept nodes.  The pool is read from the
+    classification, which already asked every anchor adjacency: the other
+    two anchors, their exclusive sets and their shared set.  T is not
+    rechecked: ``stable_set_min_alpha4`` builds it stable and asserts so.
     """
-    best = _Best()
     for v in cls.anchors:
         b, c = (a for a in cls.anchors if a != v)
         pool = (b, c, *cls.exclusive_to(b), *cls.exclusive_to(c), *cls.shared_by(b, c))
-        best.offer((v,), weights[v])
-        sub = mwss_small(g, weights, pool)  # never None: b and c are in the pool
-        best.add(((v,) + sub[0], weights[v] + sub[1]))
-    return best.result()
+        _offer_pairs(g, weights, pool, best, (v,))
 
 
-def mwss_type_path6(g: Graph, weights: Sequence[int], cls: Classification) -> Found | None:
-    """Best stable triple alternating with the anchors along a 6-node path.
+def mwss_type_path6(g: Graph, weights: Sequence[int], cls: Classification, best: _Best) -> None:
+    """Offer the best stable triple alternating with the anchors along a
+    6-node path.
 
     The path (a, x, b, y, c, z) forces x into the (a,b)-shared set, y into
     the (b,c)-shared set and z into the exclusive set of c; all six anchor
     orders are tried.
     """
-    best = _Best()
     for a, b, c in permutations(cls.anchors):
-        best.add(
-            weighted_three_sets(
-                g, weights, cls.shared_by(a, b), cls.shared_by(b, c), cls.exclusive_to(c)
-            )
+        weighted_three_sets(
+            g, weights, cls.shared_by(a, b), cls.shared_by(b, c), cls.exclusive_to(c), best
         )
-    return best.result()
 
 
-def mwss_type_cycle6(g: Graph, weights: Sequence[int], cls: Classification) -> Found | None:
-    """Best stable triple alternating with the anchors along a 6-cycle.
+def mwss_type_cycle6(g: Graph, weights: Sequence[int], cls: Classification, best: _Best) -> None:
+    """Offer the best stable triple alternating with the anchors along a
+    6-cycle.
 
     The triple takes one node from each shared set.  When the (t,u)-shared
     set is a clique one search suffices; otherwise a non-adjacent pair in it
@@ -263,41 +261,35 @@ def mwss_type_cycle6(g: Graph, weights: Sequence[int], cls: Classification) -> F
             raise ClawWitnessError(u, (bad[0], bad[1], v))
         searches = [(x_side, y_mid, half1), (x_side, y_mid, half2)]
 
-    best = _Best()
     for xs, ys, zs in searches:
-        best.add(weighted_three_sets(g, weights, xs, ys, zs))
-    return best.result()
+        weighted_three_sets(g, weights, xs, ys, zs, best)
 
 
-def mwss_type_iii(g: Graph, weights: Sequence[int], cls: Classification) -> Found | None:
-    """Best stable triple whose anchor alternation includes a 2-node path.
+def mwss_type_iii(g: Graph, weights: Sequence[int], cls: Classification, best: _Best) -> None:
+    """Offer the best stable triple whose anchor alternation includes a
+    2-node path.
 
     The lone anchor a contributes a node from its exclusive set; the other
     two anchors b, c sit on either two short paths, one 4-node path, or a
     4-cycle.  The first two shapes reduce to the triple search; in the
     4-cycle shape the exclusive set of a has no edges to the (b,c)-shared
-    set, so the heaviest node and the heaviest non-adjacent pair combine
-    freely.  The two short paths take one node from each exclusive set, so
-    one search serves every lone anchor: ``weighted_three_sets`` ignores roles.
+    set, so its heaviest node joins each non-adjacent pair of that set.
+    The two short paths take one node from each exclusive set, so one
+    search serves every lone anchor: ``weighted_three_sets`` ignores roles.
     """
     s, t, u = cls.anchors
-    best = _Best()
-    best.add(weighted_three_sets(g, weights, *(cls.exclusive_to(a) for a in (t, u, s))))
+    weighted_three_sets(g, weights, *(cls.exclusive_to(a) for a in (t, u, s)), best)
     for a, b, c in ((s, t, u), (t, s, u), (u, s, t)):
         f_a = cls.exclusive_to(a)
         shared_bc = cls.shared_by(b, c)
-        best.add(weighted_three_sets(g, weights, shared_bc, cls.exclusive_to(c), f_a))
-        best.add(weighted_three_sets(g, weights, shared_bc, cls.exclusive_to(b), f_a))
+        weighted_three_sets(g, weights, shared_bc, cls.exclusive_to(c), f_a, best)
+        weighted_three_sets(g, weights, shared_bc, cls.exclusive_to(b), f_a, best)
         if f_a and len(shared_bc) >= 2:
             crossing = is_null_to(g, f_a, shared_bc)
             if crossing is not None:
                 raise ClawWitnessError(crossing[1], (crossing[0], b, c))
             z = min(f_a, key=lambda node: (-weights[node], node))
-            pair = _Best()
-            _offer_pairs(g, weights, shared_bc, pair)
-            if pair.nodes is not None:
-                best.add((pair.nodes + (z,), pair.weight + weights[z]))
-    return best.result()
+            _offer_pairs(g, weights, shared_bc, best, (z,))
 
 
 def mwss_alpha3(g: Graph, weights: Sequence[int]) -> SolveOutcome:
@@ -307,9 +299,9 @@ def mwss_alpha3(g: Graph, weights: Sequence[int]) -> SolveOutcome:
     induced by the non-negative nodes in place (all of ``range(g.n)`` when
     no weight is negative): the cardinality phase
     either certifies alpha >= 4 there with a witness or pins alpha, and the
-    weighted phase takes the best candidate over: stable sets meeting a
-    maximum stable triple, the three disjoint-triple shapes, all small
-    stable sets, and the empty set.  No graph is built and every node id,
+    weighted phase offers into one running best: the empty set, all small
+    stable sets, stable sets meeting a maximum stable triple, and the three
+    disjoint-triple shapes.  No graph is built and every node id,
     in the outcome and in a ClawWitnessError, is an id of g.  Both phases
     charge g's counter each pair at most once whenever the kept nodes
     could have alpha <= 3 (see ``graph.asking_each_pair_once``).
@@ -329,17 +321,14 @@ def mwss_alpha3(g: Graph, weights: Sequence[int]) -> SolveOutcome:
 
     best = _Best()
     best.offer((), 0)
-    best.add(mwss_small(g, weights, keep))
+    mwss_small(g, weights, keep, best)
     if report.exact_alpha == 3:
         cls = report.classification
         assert not cls.detached, "alpha = 3 leaves no detached nodes"
-        for found in (
-            mwss_intersecting(g, weights, cls),
-            mwss_type_path6(g, weights, cls),
-            mwss_type_cycle6(g, weights, cls),
-            mwss_type_iii(g, weights, cls),
-        ):
-            best.add(found)
+        mwss_intersecting(g, weights, cls, best)
+        mwss_type_path6(g, weights, cls, best)
+        mwss_type_cycle6(g, weights, cls, best)
+        mwss_type_iii(g, weights, cls, best)
 
     assert is_stable_set(g, best.nodes), "internal error: result not stable"
     assert total_weight(weights, best.nodes) == best.weight, "internal error: weight mismatch"

@@ -6,8 +6,8 @@ alpha <= floor(n / (k + 1)) = 3, and {0, k+1, 2(k+1)} attains it; the
 neighbours of i are the two cliques {i-k..i-1} and {i+1..i+k}, so no node
 has three pairwise non-adjacent neighbours.  The solve's query counts and
 outcomes, and the queries of ``stable_set_min_alpha4`` alone, are pinned
-at k = 15, 31, 63, 127 and 255 (m = 260,865); each solve count is C(n, 2),
-one query per pair.
+at k = 15, 31, 63, 127 and 255 (m = 260,865); no solve asks more than the
+C(n, 2) pairs, each at most once.
 """
 
 from math import log2
@@ -23,11 +23,11 @@ from helpers import cycle_power, cycle_power_weights, first_claw
 # stable_set_min_alpha4), with ``cycle_power_weights`` (ids 1-based, as
 # ``solve`` prints them).
 PINNED = {
-    15: (1_953, "OPTIMAL weight=281 set=20,39,59", 1_758),
-    31: (8_001, "OPTIMAL weight=291 set=20,59,114", 7_102),
-    63: (32_385, "OPTIMAL weight=297 set=59,167,236", 28_542),
-    127: (130_305, "OPTIMAL weight=299 set=59,236,402", 114_430),
-    255: (522_753, "OPTIMAL weight=300 set=178,470,778", 458_238),
+    15: (1_848, "OPTIMAL weight=281 set=20,39,59", 1_758),
+    31: (7_536, "OPTIMAL weight=291 set=20,59,114", 7_102),
+    63: (30_432, "OPTIMAL weight=297 set=59,167,236", 28_542),
+    127: (122_304, "OPTIMAL weight=299 set=59,236,402", 114_430),
+    255: (490_369, "OPTIMAL weight=300 set=178,470,778", 458_238),
 }
 
 
@@ -61,6 +61,7 @@ def test_cycle_powers_carry_their_certificates(k):
 def test_cycle_power_solves_are_pinned_and_scale():
     runs = {k: _solve(k) for k in PINNED}
     assert {k: runs[k][:3] for k in PINNED} == PINNED
+    assert all(q <= n * (n - 1) // 2 for q, _, _, n, _ in runs.values())
     weighted = [q / (m * log2(n + 2)) for q, _, _, n, m in runs.values()]
     cardinality = [c / m for _, _, c, _, m in runs.values()]
     assert max(weighted) / min(weighted) <= 3.0

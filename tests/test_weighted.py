@@ -48,6 +48,14 @@ from helpers import (
 from test_result_lines import _corpus
 
 
+def _search(search, g, weights, *parts, **options):
+    """Run one weighted search into a fresh running best: the best
+    (nodes, weight) it offered, or None."""
+    best = _Best()
+    search(g, weights, *parts, best, **options)
+    return None if best.nodes is None else (best.nodes, best.weight)
+
+
 def _greedy_clique(g, start):
     members = [start]
     for v in range(g.n):
@@ -104,7 +112,7 @@ def test_weighted_three_sets_stops_after_first_non_adjacent_pair():
     g = build_graph(10, list(itertools.combinations(zs, 2)))
     weights = [9, 5, 4, 9, 5, 4, 9, 3, 2, 1]
     view = g.with_counter()
-    assert weighted_three_sets(view, weights, xs, ys, zs) == ((0, 3, 6), 27)
+    assert _search(weighted_three_sets, view, weights, xs, ys, zs) == ((0, 3, 6), 27)
     assert view.counter.count == 1 + 2 * len(zs)
 
 
@@ -113,14 +121,14 @@ def test_weighted_three_sets_prefers_heaviest_reachable():
     # the first uncovered prefix is at z2.
     g = build_graph(4, [(2, 3), (0, 2)])  # x=0, y=1, z1=2, z2=3
     weights = [1, 1, 5, 3]
-    found = weighted_three_sets(g, weights, [0], [1], [2, 3])
+    found = _search(weighted_three_sets, g, weights, [0], [1], [2, 3])
     assert found == ((0, 1, 3), 5)
 
 
 def test_weighted_three_sets_vacuous_inputs():
     g = cycle(7)
-    assert weighted_three_sets(g, [1] * 7, [], [2], [4]) is None
-    assert weighted_three_sets(g, [1] * 7, [0], [2], []) is None
+    assert _search(weighted_three_sets, g, [1] * 7, [], [2], [4]) is None
+    assert _search(weighted_three_sets, g, [1] * 7, [0], [2], []) is None
 
 
 def _role_configs(cls):
@@ -153,14 +161,33 @@ def test_weighted_three_sets_matches_brute_force():
         cls = classify(g, range(g.n), report.nodes)
         for ws in (weights, [rng.randint(1, 2) for _ in range(g.n)]):
             for xs, ys, zs in _role_configs(cls):
-                found = weighted_three_sets(g, ws, xs, ys, zs)
+                found = _search(weighted_three_sets, g, ws, xs, ys, zs)
                 brute = _brute_best_triple(g, ws, xs, ys, zs)
                 assert found == (None if brute is None else (brute[1], brute[0]))
                 checked += 1
     assert checked >= 30_000
 
 
+def _seeded_best(rng, g, lo, hi):
+    """A running best holding a random candidate: a sorted tuple of one to
+    three nodes, stable or not, at a weight drawn from 3 * lo .. 3 * hi, as
+    if an earlier search of the solve had offered it.  Returns the best and
+    that candidate as (nodes, weight)."""
+    nodes = tuple(sorted({rng.below(g.n) for _ in range(1 + rng.below(3))}))
+    weight = rng.randint(3 * lo, 3 * hi)
+    best = _Best()
+    best.offer(nodes, weight)
+    return best, (nodes, weight)
+
+
+def _least(*candidates):
+    """The least (-weight, nodes) among (nodes, weight) candidates, or None
+    when every one is None: the candidate a running best must end on."""
+    return min(filter(None, candidates), key=lambda c: (-c[1], c[0]), default=None)
+
+
 def _check_three_sets_on_random_graphs(seed, lo, hi):
+    # Each instance runs from a fresh best and again from a seeded one.
     rng = SplitMix64(seed)
     for _ in range(1500):
         g = random_graph(rng, rng.randint(3, 14), rng.randint(10, 90))
@@ -170,9 +197,13 @@ def _check_three_sets_on_random_graphs(seed, lo, hi):
         for v in range(g.n):
             if v not in zs:
                 (xs if rng.below(2) else ys).append(v)
-        found = weighted_three_sets(g, weights, xs, ys, zs)
+        found = _search(weighted_three_sets, g, weights, xs, ys, zs)
         brute = _brute_best_triple(g, weights, xs, ys, zs)
-        assert found == (None if brute is None else (brute[1], brute[0]))
+        brute = None if brute is None else (brute[1], brute[0])
+        assert found == brute
+        best, seed_cand = _seeded_best(rng, g, lo, hi)
+        weighted_three_sets(g, weights, xs, ys, zs, best)
+        assert (best.nodes, best.weight) == _least(seed_cand, brute)
 
 
 def test_weighted_three_sets_exact_without_claw_freeness():
@@ -184,7 +215,7 @@ def test_weighted_three_sets_exact_without_claw_freeness():
 def test_weighted_three_sets_exact_on_ties():
     # Weights 1..3 make many triples tie: the search may skip only triples
     # strictly lighter than its best, so the smallest sorted triple must
-    # survive.
+    # survive, also against a best that an earlier search left.
     _check_three_sets_on_random_graphs(68, 1, 3)
 
 
@@ -222,7 +253,7 @@ def test_fixed_pair_gets_heaviest_completion():
                 for y in ys:
                     if y in g.neighbor_set(x):
                         continue
-                    found = weighted_three_sets(g, weights, [x], [y], zs)
+                    found = _search(weighted_three_sets, g, weights, [x], [y], zs)
                     compatible = [
                         z
                         for z in zs
@@ -238,10 +269,10 @@ def test_fixed_pair_gets_heaviest_completion():
 
 def test_mwss_small_examples():
     g = build_graph(1, [])
-    assert mwss_small(g, [7], [0]) == ((0,), 7)
+    assert _search(mwss_small, g, [7], [0]) == ((0,), 7)
     k5 = complete(5)
-    assert mwss_small(k5, [1, 2, 3, 4, 5], range(5)) == ((4,), 5)
-    assert mwss_small(k5, [1, 2, 3, 4, 5], []) is None
+    assert _search(mwss_small, k5, [1, 2, 3, 4, 5], range(5)) == ((4,), 5)
+    assert _search(mwss_small, k5, [1, 2, 3, 4, 5], []) is None
 
 
 def _brute_best_small(g, weights, pool, sizes):
@@ -262,30 +293,48 @@ def test_mwss_small_matches_brute_force():
         g = random_graph(rng, rng.randint(1, 16), rng.randint(0, 100))
         weights = [rng.randint(-10, 10) for _ in range(g.n)]
         pool = [v for v in range(g.n) if rng.below(4)]
-        assert mwss_small(g, weights, pool) == _brute_best_small(g, weights, pool, (1, 2))
+        assert _search(mwss_small, g, weights, pool) == _brute_best_small(g, weights, pool, (1, 2))
+
+
+def _brute_best_joined(g, weights, pool, extra):
+    """(nodes, weight) of the best stable pair of ``pool`` joined by
+    ``extra``, ties to the smallest sorted tuple, or None."""
+    found = _brute_best_small(g, weights, pool, (2,))
+    if found is not None:
+        # Every pair gains the same extra nodes, which keeps the tie order.
+        return tuple(sorted(found[0] + extra)), found[1] + sum(weights[v] for v in extra)
 
 
 def test_pair_searches_match_brute_force_on_ties():
-    # Tie-heavy weights: mwss_small, and the pair search of mwss_type_iii
-    # from a fresh accumulator, return the brute-force best (ties to the
-    # smallest sorted tuple) with at most C(k, 2) queries for k pool nodes.
+    # Tie-heavy weights: mwss_small and _offer_pairs, alone and joined by a
+    # node that misses the whole pool (as in mwss_intersecting and
+    # mwss_type_iii), from a fresh best and from a seeded one, end on the
+    # least (-weight, sorted tuple) over the brute-force candidates and the
+    # seed, with at most C(k, 2) queries for k pool nodes.
     rng = SplitMix64(69)
     for lo, hi in ((0, 2), (-3, 3)):
         for _ in range(400):
             g = random_graph(rng, rng.randint(1, 16), rng.randint(0, 100))
             weights = [rng.randint(lo, hi) for _ in range(g.n)]
-            pool = [v for v in range(g.n) if rng.below(4)]
-            k = len(pool)
+            z = rng.below(g.n)
+            missed = g.neighbor_set(z) | {z}
+            for extra in ((), (z,)):
+                pool = [v for v in range(g.n) if rng.below(4) and not (extra and v in missed)]
+                k = len(pool)
+                brute = _brute_best_joined(g, weights, pool, extra)
 
-            view = g.with_counter()
-            assert mwss_small(view, weights, pool) == _brute_best_small(g, weights, pool, (1, 2))
-            assert view.counter.count <= k * (k - 1) // 2
+                view = g.with_counter()
+                if not extra:
+                    small = _brute_best_small(g, weights, pool, (1, 2))
+                    assert _search(mwss_small, view, weights, pool) == small
+                    assert view.counter.count <= k * (k - 1) // 2
+                    view = g.with_counter()
+                assert _search(_offer_pairs, view, weights, pool, extra=extra) == brute
+                assert view.counter.count <= k * (k - 1) // 2
 
-            view = g.with_counter()
-            pair = _Best()
-            _offer_pairs(view, weights, pool, pair)
-            assert pair.result() == _brute_best_small(g, weights, pool, (2,))
-            assert view.counter.count <= k * (k - 1) // 2
+                best, seed_cand = _seeded_best(rng, g, lo, hi)
+                _offer_pairs(g, weights, pool, best, extra)
+                assert (best.nodes, best.weight) == _least(seed_cand, brute)
 
 
 def test_mwss_small_stops_at_first_non_neighbour():
@@ -294,37 +343,43 @@ def test_mwss_small_stops_at_first_non_neighbour():
     g = build_graph(50, [])
     weights = [(7 * v) % 50 + 1 for v in range(50)]
     view = g.with_counter()
-    assert mwss_small(view, weights, range(50)) == ((7, 14), 99)
+    assert _search(mwss_small, view, weights, range(50)) == ((7, 14), 99)
     assert view.counter.count == 1
 
 
 def test_mwss_intersecting_c7():
     c7 = cycle(7)
     cls = classify(c7, range(c7.n), (0, 2, 4))
-    nodes, weight = mwss_intersecting(c7, [1] * 7, cls)
+    nodes, weight = _search(mwss_intersecting, c7, [1] * 7, cls)
     assert weight == 3 and is_stable_set(c7, nodes)
-    nodes, weight = mwss_intersecting(c7, [i + 1 for i in range(7)], cls)
+    nodes, weight = _search(mwss_intersecting, c7, [i + 1 for i in range(7)], cls)
     assert (nodes, weight) == ((2, 4, 6), 15)
 
 
 def test_mwss_intersecting_prefers_heavy_anchor():
+    # The search offers triples only; the heavy anchor alone comes from
+    # mwss_small, which offers into the same best first in a solve.
     c6 = cycle(6)
     cls = classify(c6, range(c6.n), (0, 2, 4))
-    nodes, weight = mwss_intersecting(c6, [10, -5, -7, -5, -7, -5], cls)
-    assert (nodes, weight) == ((0,), 10)
+    weights = [10, -5, -7, -5, -7, -5]
+    assert _search(mwss_intersecting, c6, weights, cls) == ((0, 2, 4), -4)
+    best = _Best()
+    mwss_small(c6, weights, range(c6.n), best)
+    mwss_intersecting(c6, weights, cls, best)
+    assert (best.nodes, best.weight) == ((0,), 10)
 
 
 def test_anchor_classification_is_reused_exactly(monkeypatch):
     # The report carries the partition extend_to_four built for its triple,
     # and mwss_intersecting reads each anchor's pool from it: both must
     # equal what fresh adjacency answers give.  A pool's order is free, as
-    # mwss_small orders it by weight.
+    # _offer_pairs orders it by weight.
     pools = []
-    pool_search = weighted.mwss_small
+    pool_search = weighted._offer_pairs
 
-    def recording(g, weights, pool):
-        pools.append(sorted(pool))
-        return pool_search(g, weights, pool)
+    def recording(g, weights, pool, best, extra=()):
+        pools.append((extra, sorted(pool)))
+        pool_search(g, weights, pool, best, extra)
 
     def keep(g):
         report = stable_set_min_alpha4(g)
@@ -333,16 +388,16 @@ def test_anchor_classification_is_reused_exactly(monkeypatch):
             return report
         assert report.classification is None
 
-    monkeypatch.setattr(weighted, "mwss_small", recording)
+    monkeypatch.setattr(weighted, "_offer_pairs", recording)
     alphas = set()
     draws = alpha3_instances(SplitMix64(0xC1A5), 40, keep)
     for g, weights, _, report in itertools.islice(draws, 300):
         cls = report.classification
         assert cls == classify(g, range(g.n), report.nodes)
         pools.clear()
-        mwss_intersecting(g, weights, cls)
+        _search(mwss_intersecting, g, weights, cls)
         assert pools == [
-            [x for x in range(g.n) if x != v and x not in g.neighbor_set(v)]
+            ((v,), [x for x in range(g.n) if x != v and x not in g.neighbor_set(v)])
             for v in report.nodes
         ]
     assert alphas == {1, 2, 3, 4}
@@ -353,27 +408,27 @@ def test_anchor_classification_is_reused_exactly(monkeypatch):
 def test_path6_on_c7():
     c7 = cycle(7)
     cls = classify(c7, range(c7.n), (0, 2, 4))
-    nodes, weight = mwss_type_path6(c7, [1] * 7, cls)
+    nodes, weight = _search(mwss_type_path6, c7, [1] * 7, cls)
     assert (nodes, weight) == ((1, 3, 5), 3)
 
 
 def test_path6_none_when_shared_sets_empty():
     g = build_graph(6, [(0, 1), (2, 3), (4, 5)])
     cls = classify(g, range(g.n), (0, 2, 4))
-    assert mwss_type_path6(g, [1] * 6, cls) is None
+    assert _search(mwss_type_path6, g, [1] * 6, cls) is None
 
 
 def test_cycle6_direct():
     c6 = cycle(6)
     cls = classify(c6, range(c6.n), (0, 2, 4))
-    nodes, weight = mwss_type_cycle6(c6, [1] * 6, cls)
+    nodes, weight = _search(mwss_type_cycle6, c6, [1] * 6, cls)
     assert (nodes, weight) == ((1, 3, 5), 3)
 
 
 def test_cycle6_none_without_each_shared_set():
     c7 = cycle(7)
     cls = classify(c7, range(c7.n), (0, 2, 4))  # the (0,4)-shared set is empty
-    assert mwss_type_cycle6(c7, [1] * 7, cls) is None
+    assert _search(mwss_type_cycle6, c7, [1] * 7, cls) is None
 
 
 def test_cycle6_split_when_middle_set_not_clique():
@@ -395,7 +450,7 @@ def test_cycle6_split_when_middle_set_not_clique():
     assert brute_alpha_min4(g) == 3
     cls = classify(g, range(g.n), (0, 1, 2))
     weights = [1] * 8
-    nodes, weight = mwss_type_cycle6(g, weights, cls)
+    nodes, weight = _search(mwss_type_cycle6, g, weights, cls)
     assert (nodes, weight) == ((3, 5, 6), 3)
     # The full solve agrees with the oracle on this instance.
     out = mwss_alpha3(g, weights)
@@ -429,7 +484,7 @@ def test_cycle6_split_failure_reports_a_claw(extra, claw):
     assert first_claw(g)[0] is not None
     cls = classify(g, range(g.n), (0, 1, 2))
     with pytest.raises(ClawWitnessError) as info:
-        mwss_type_cycle6(g, [1] * g.n, cls)
+        _search(mwss_type_cycle6, g, [1] * g.n, cls)
     center, (a, b, c) = info.value.center, info.value.leaves
     assert (center, (a, b, c)) == claw
     nbrs = g.neighbor_set
@@ -440,7 +495,7 @@ def test_cycle6_split_failure_reports_a_claw(extra, claw):
 def test_type_iii_c7_and_four_cycle_shape():
     c7 = cycle(7)
     cls = classify(c7, range(c7.n), (0, 2, 4))
-    found = mwss_type_iii(c7, [1] * 7, cls)
+    found = _search(mwss_type_iii, c7, [1] * 7, cls)
     assert found is None  # every role assignment hits an empty set on C7
 
     # Lone anchor 0 supplies node 3; the 4-cycle (1, 4, 2, 5) supplies the
@@ -449,7 +504,7 @@ def test_type_iii_c7_and_four_cycle_shape():
     assert first_claw(g)[0] is None
     cls = classify(g, range(g.n), (0, 1, 2))
     weights = [1, 1, 1, 2, 3, 4]
-    nodes, weight = mwss_type_iii(g, weights, cls)
+    nodes, weight = _search(mwss_type_iii, g, weights, cls)
     assert (nodes, weight) == ((3, 4, 5), 9)
 
     # Anchor 0's exclusive set gains node 6, the heaviest, so it joins the
@@ -459,7 +514,7 @@ def test_type_iii_c7_and_four_cycle_shape():
     cls = classify(g, range(g.n), (0, 1, 2))
     assert cls.exclusive_to(0) == (3, 6)
     weights = [1, 1, 1, 2, 3, 4, 5]
-    assert mwss_type_iii(g, weights, cls) == ((4, 5, 6), 12)
+    assert _search(mwss_type_iii, g, weights, cls) == ((4, 5, 6), 12)
     assert mwss_alpha3(g, weights) == Optimal(nodes=(4, 5, 6), weight=12)
 
 
@@ -467,7 +522,7 @@ def test_type_iii_four_cycle_contributes_nothing_for_clique_pair_set():
     g = build_graph(6, [(0, 3), (1, 4), (2, 4), (1, 5), (2, 5), (4, 5)])
     assert first_claw(g)[0] is None
     cls = classify(g, range(g.n), (0, 1, 2))
-    assert mwss_type_iii(g, [1] * 6, cls) is None
+    assert _search(mwss_type_iii, g, [1] * 6, cls) is None
 
 
 def test_shape_searches_match_shape_filtered_brute_force():
@@ -505,7 +560,7 @@ def test_shape_searches_match_shape_filtered_brute_force():
             ("cycle6", mwss_type_cycle6),
             ("iii", mwss_type_iii),
         ):
-            found = op(g, weights, cls)
+            found = _search(op, g, weights, cls)
             triples = (
                 nodes
                 for xs, ys, zs in shape_sets[name]
