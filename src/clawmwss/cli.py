@@ -29,7 +29,7 @@ from .errors import ClawWitnessError, InstanceFormatError
 from .gen import (
     EDGE_LIMIT, KINDS, GenSpec, SplitMix64, generate, sample_spec, verify_certificate
 )
-from .graph import Graph, total_weight
+from .graph import Graph, asking_each_pair_once, total_weight
 from .instances import dump_instance, read_instance, write_instance
 from .oracles import brute_alpha_min4, brute_mwss, is_stable_set
 from .cardinality import stable_set_min_alpha4
@@ -92,9 +92,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         g, weights = _load(args.input)
     except _INPUT_ERRORS as exc:
         return _error(exc)
-    claw = find_claw(g) if args.validate else None
-    if claw is not None:
-        return _not_claw_free(claw)
+    if args.validate:
+        # The claw check and the solve share one pair table.
+        g = asking_each_pair_once(g, range(g.n))
+        claw = find_claw(g)
+        if claw is not None:
+            return _not_claw_free(claw)
     try:
         outcome = mwss_alpha3(g, weights)
     except ClawWitnessError as exc:
@@ -111,6 +114,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         g, _ = _load(args.input)
     except _INPUT_ERRORS as exc:
         return _error(exc)
+    g = asking_each_pair_once(g, range(g.n))
     claw = find_claw(g)
     if claw is not None:
         return _not_claw_free(claw)

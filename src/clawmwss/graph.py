@@ -6,7 +6,11 @@ to a per-context counter: one by one through :meth:`Graph.adjacent`, or by
 a batch primitive, which charges the pairs it decides.  A weighted solve
 charges each pair once: it runs on a view from
 :func:`asking_each_pair_once`, which shares the graph's store and counter
-and charges only the pairs that the solve has not decided before.  Direct
+and charges only the pairs that the solve has not decided before.  The claw
+check (``structure.find_claw``) takes the same view over all nodes and,
+when the graph is dense enough for its table, decides neighbour pairs on
+bitmasks of the neighbour ids, read free from the store; ``solve
+--validate`` and ``check`` then hand that one table on to the solve.  Direct
 structure access (the neighbor tuples and sets) is free and intentionally not
 counted; it is only used where the algorithm genuinely reads stored data
 rather than asking "is u adjacent to v?".  The solve path has two such
@@ -26,7 +30,9 @@ them to :class:`Graph`, keeping both properties.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 # Weights above this in magnitude are rejected so that any 3-node sum fits
@@ -155,6 +161,21 @@ class _PairTable(Graph):
             table[i] |= head
         self.counter.count += twice // 2
 
+    def _charge_masks(self, masks: list[int], last: int) -> None:
+        """Charge and record the undecided pairs among the neighbours of
+        each node c <= ``last``, where ``masks[c]`` is the bitmask of c's
+        neighbour ids, or 0 for a node whose pairs are not asked.  Only for
+        a table over all of the graph's nodes."""
+        rows = self._rows
+        # Row x gains the masks of its neighbours up to ``last``.
+        grown = [
+            reduce(or_, map(masks.__getitem__, nbrs[: bisect_right(nbrs, last)]), row)
+            for row, nbrs in zip(rows, self._nbrs)
+        ]
+        # Each undecided pair is new in the rows of both its ends.
+        self.counter.count += sum((new ^ old).bit_count() for new, old in zip(grown, rows)) // 2
+        rows[:] = grown
+
 
 def asking_each_pair_once(g: Graph, keep: Sequence[int]) -> Graph:
     """``g`` as one solve over ``keep`` should ask it: a view that charges
@@ -164,8 +185,12 @@ def asking_each_pair_once(g: Graph, keep: Sequence[int]) -> Graph:
     The test is k^2 <= 8 m_k + 4k for k kept nodes spanning m_k edges.  A
     graph with alpha <= 3 passes it: its complement has no K4, so by Turan
     m_k >= k^2 / 6 - k / 2.  So the table's k^2 bits are O(m_k + k).
-    ``keep`` is range(g.n), or the ascending list of the kept ids.
+    ``keep`` is range(g.n), or the ascending list of the kept ids.  A table
+    over all of its graph's nodes is returned as it is, whatever ``keep``,
+    so a claw check and the solve after it share one table.
     """
+    if isinstance(g, _PairTable) and g._pos is None:
+        return g
     k = len(keep)
     if isinstance(keep, range):
         m_k = g.m

@@ -6,10 +6,14 @@ three anchors would be the center of a claw.  The resulting partition is the
 structural input of the stable-set constructions.
 
 ``find_claw`` is the full claw-freeness check behind ``solve --validate`` and
-``check``: O(sum deg^2) adjacency queries, exactly sum C(deg, 2) over nodes of
-degree >= 3 on a claw-free graph, charged per center and decided on a snapshot
-of neighbor sets, with the witness fixed by scan order (center ascending, then
-the lexicographically smallest leaf triple), where the scan stops.
+``check``, with the witness fixed by scan order (center ascending, then the
+lexicographically smallest leaf triple), where the scan stops.  On a graph
+dense enough for ``graph.asking_each_pair_once``'s pair table (every graph
+with alpha <= 3) it charges each neighbour pair of a center of degree >= 3
+once, at most C(n, 2) in all, and decides the pairs on neighbour bitmasks;
+the two commands pass that table on to the solve, so the solve charges no
+pair the check decided.  On a sparser graph it charges sum C(deg, 2) over
+the centers of degree >= 3, decided on a snapshot of neighbor sets.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ClawWitnessError
-from .graph import Graph
+from .graph import Graph, _PairTable, asking_each_pair_once
 
 
 @dataclass(frozen=True)
@@ -117,19 +121,30 @@ def classify(
 def find_claw(g: Graph) -> Claw | None:
     """Find an induced claw, or None if the graph is claw-free.
 
-    For each center c of degree d >= 3, charges ``g.counter`` the C(d, 2)
-    neighbor pairs up front and decides each pair by membership in a
-    snapshot of neighbor sets taken at the start.  Row i, built the first
-    time the scan needs it, is the bitmask of the positions j > i in
-    ``g.neighbors(c)`` not adjacent to position i; for a non-adjacent pair
-    (i, j) the third leaf is then the lowest set bit of ``row i & row j``.
-    A claw-free graph costs exactly sum C(d, 2) queries over centers of
-    degree >= 3, as many as asking each pair through ``g.adjacent``, i.e.
-    O(sum deg^2); this is a validation routine, not part of the solve path.
-
     The witness is the first claw in scan order, center ascending, then
     the lexicographically smallest leaf triple, and the scan stops there.
+    This is a validation routine, not part of the solve path.
+
+    The graph is read through ``asking_each_pair_once(g, range(g.n))``.
+    When that is a pair table (every alpha <= 3 graph gets one), the pairs
+    are decided on bitmasks of neighbour ids, read free from the store,
+    and then the table charges and records each neighbour pair of each
+    center of degree >= 3, up to and including the claw's center, that it
+    has not decided before.  So a claw-free graph costs at most C(n, 2)
+    queries in all, and pairs that an earlier stage on the same table
+    decided cost none.
+
+    Otherwise the graph is too sparse for the table, and each center of
+    degree d >= 3 charges C(d, 2) up front and decides each pair by
+    membership in a snapshot of neighbor sets taken at the start.  Row i,
+    built the first time the scan needs it, is the bitmask of the positions
+    j > i in ``g.neighbors(c)`` not adjacent to position i; for a
+    non-adjacent pair (i, j) the third leaf is then the lowest set bit of
+    ``row i & row j``.
     """
+    view = asking_each_pair_once(g, range(g.n))
+    if isinstance(view, _PairTable):
+        return _claw_on_masks(view)
     # Presized set copies, as the solve's bisecting oracle would pay O(log d)
     # on each of the sum C(d, 2) pairs.  A pair is tested from its lower id,
     # so each node keeps only its neighbors above it: half the copies' size.
@@ -173,4 +188,62 @@ def find_claw(g: Graph) -> Claw | None:
                     k = (common & -common).bit_length() - 1
                     return Claw(center, (nbrs[i], nbrs[j], nbrs[k]))
                 later ^= low
+    return None
+
+
+def _claw_on_masks(t: _PairTable) -> Claw | None:
+    """``find_claw`` on a pair table over all of the graph's nodes: the
+    scan first, then the charge of every center up to the claw's."""
+    store, bit = t._nbrs, t._bit
+    full = (1 << t.n) - 1
+    # wide[c]: c's neighbour bitmask, or 0 when c has degree < 3 and so
+    # is no center; far[v]: the nodes neither v nor adjacent to v.
+    wide, far = [], []
+    for v, nbrs in enumerate(store):
+        nb = sum(map(bit.__getitem__, nbrs))
+        wide.append(nb if len(nbrs) >= 3 else 0)
+        far.append(full ^ nb ^ bit[v])
+    claw = _first_claw_on_masks(store, wide, far)
+    t._charge_masks(wide, t.n if claw is None else claw.center)
+    return claw
+
+
+def _first_claw_on_masks(
+    store: list[tuple[int, ...]], wide: list[int], far: list[int]
+) -> Claw | None:
+    """The first claw in scan order, on ``_claw_on_masks``'s bitmasks.
+
+    At center c, for each leaf x ascending, Q = N(c) & far[x] holds the
+    other two leaves of a claw iff it is not a clique.  Only Q's nodes
+    outside the last Q verified a clique at c are verified, each against
+    all of Q, so a Q inside that clique is skipped.
+    """
+    for center, head in enumerate(wide):
+        rest = head
+        for x in store[center]:
+            fresh = rest & far[x]
+            if not fresh:
+                continue
+            q = head & far[x]
+            while fresh:
+                low = fresh & -fresh
+                if q & far[low.bit_length() - 1]:
+                    return _first_claw_at(center, x, q, far)
+                fresh ^= low
+            rest = head & ~q
+    return None
+
+
+def _first_claw_at(center: int, x: int, q: int, far: list[int]) -> Claw | None:
+    """The least claw at ``center`` with least leaf ``x``, given that Q =
+    ``q`` is not a clique and no earlier leaf has a claw, so Q's
+    non-adjacent pairs lie above x: y ascending in Q above x, and z the
+    lowest node of Q above y not adjacent to y."""
+    ys = q & -(2 << x)
+    while ys:
+        low = ys & -ys
+        zs = q & far[low.bit_length() - 1] & -(low << 1)
+        if zs:
+            return Claw(center, (x, low.bit_length() - 1, (zs & -zs).bit_length() - 1))
+        ys ^= low
     return None

@@ -315,23 +315,41 @@ def clique_witness_by_pairs(g: Graph, nodes) -> tuple[int, int] | None:
     return None
 
 
+def pair_table_fits(g: Graph) -> bool:
+    """The pair table's density test, restated: n^2 <= 8m + 4n for the n
+    nodes and m edges of g, with m counted off the neighbor tuples."""
+    m = sum(len(g.neighbors(v)) for v in range(g.n)) // 2
+    return g.n * g.n <= 8 * m + 4 * g.n
+
+
 def first_claw(g: Graph) -> tuple[Claw | None, int]:
     """Reference for ``structure.find_claw``: (claw, queries).
 
     The claw is the first in scan order (center ascending, then leaf
     positions i < j < t in the center's neighbor tuple), by exhaustive scan
-    of neighbor bitmasks.  ``queries`` is what ``find_claw`` charges:
-    C(d, 2) for each center of degree d >= 3, up to and including the
-    claw's center, or over every center when there is no claw.  Reads only
-    neighbor tuples, through ``oracles.adjacency_masks``, so it shares no
-    code with ``Graph.adjacent`` or ``clawmwss.structure``."""
+    of neighbor bitmasks.  ``queries`` is what ``find_claw`` charges over
+    the centers of degree >= 3 up to and including the claw's center, or
+    over every center when there is no claw.  When ``pair_table_fits(g)``,
+    that is the number of distinct neighbor pairs of those centers, kept
+    in a Python set; otherwise C(d, 2) for each such center of degree d.
+    Reads only neighbor tuples, through ``oracles.adjacency_masks``, so it
+    shares no code with ``Graph.adjacent``, ``clawmwss.graph``'s pair
+    table or ``clawmwss.structure``."""
     adj = adjacency_masks(g)
-    queries = 0
+    dense = pair_table_fits(g)
+    pairs: set[tuple[int, int]] = set()
+    per_center = 0
+
+    def queries() -> int:
+        return len(pairs) if dense else per_center
+
     for center in range(g.n):
         nbrs = g.neighbors(center)
         k = len(nbrs)
         if k >= 3:
-            queries += comb(k, 2)
+            per_center += comb(k, 2)
+            if dense:
+                pairs.update(itertools.combinations(nbrs, 2))
         for i in range(k):
             x = nbrs[i]
             ax = adj[x]
@@ -343,8 +361,8 @@ def first_claw(g: Graph) -> tuple[Claw | None, int]:
                 for t in range(j + 1, k):
                     z = nbrs[t]
                     if not ((ax >> z) & 1) and not ((ay >> z) & 1):
-                        return Claw(center, (x, y, z)), queries
-    return None, queries
+                        return Claw(center, (x, y, z)), queries()
+    return None, queries()
 
 
 _FUZZ_TOKENS = ("99999999999999999999", "1048577", "2305843009213693953", "x")

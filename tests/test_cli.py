@@ -21,9 +21,11 @@ from clawmwss import (
 )
 from clawmwss.cli import build_parser, main, run_bench, verify_instances
 from clawmwss.gen import Certificate, GenSpec, SplitMix64
-from clawmwss.graph import NODE_LIMIT, build_graph
+from clawmwss.graph import NODE_LIMIT, Graph, _PairTable, build_graph
 
-from helpers import bench_instances, cycle, edge_set, mutant_corpus, star, with_lightest_negative
+from helpers import (
+    bench_instances, cycle, edge_set, first_claw, mutant_corpus, star, with_lightest_negative
+)
 
 
 def _instance_file(tmp_path, name, g, weights, comments=()):
@@ -77,6 +79,33 @@ def test_solve_star_with_validate(tmp_path, capsys):
     assert capsys.readouterr().out == "ALPHA_GE_4 witness=2,3,4,5\n"
     assert main(["solve", "--input", str(path), "--validate"]) == 3
     assert capsys.readouterr().out == "NOT_CLAW_FREE center=1 leaves=2,3,4\n"
+
+
+def test_validate_and_check_hand_the_claw_checks_pair_table_on(tmp_path, monkeypatch, capsys):
+    g, weights = bench_instances([1024], seed=0)[0]
+    path = _instance_file(tmp_path, "bench.txt", g, weights)
+    seen = []
+
+    def spy(stage):
+        def call(graph, *args):
+            seen.append(graph)
+            return stage(graph, *args)
+        return call
+
+    for name in ("find_claw", "mwss_alpha3", "stable_set_min_alpha4"):
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    assert main(["solve", "--input", path, "--validate"]) == 0
+    assert main(["check", "--input", path]) == 0
+    assert main(["solve", "--input", path]) == 0
+    validated, solved, checked, sized, plain = seen
+    # Each command's two stages share one table, so together they charge
+    # each pair at most once.
+    assert solved is validated and sized is checked
+    assert isinstance(validated, _PairTable) and isinstance(checked, _PairTable)
+    assert validated.counter.count <= comb(g.n, 2) and checked.counter.count <= comb(g.n, 2)
+    # A solve without --validate is handed the graph as read.
+    assert type(plain) is Graph and plain.counter.count == 1363
+    assert capsys.readouterr().out.splitlines()[1] == "CLAW_FREE alpha=3"
 
 
 def test_solve_star_detects_claw_even_without_validate(tmp_path, capsys):
@@ -464,11 +493,11 @@ def test_bench_writes_one_json_record_file(tmp_path, capsys):
     times = ("gen_ns", "ns", "write_ns", "parse_ns", "validate_ns")
     assert all(r[k] > 0 for r in doc["records"] for k in times)
     assert sum(r[k] for r in doc["records"] for k in times) < wall_ns
-    # The claw check asks every neighbour pair of each centre of degree >= 3
-    # once, and the store is one tuple header per node plus 8 bytes per arc.
+    # The claw check asks each distinct neighbour pair of the centres of
+    # degree >= 3 once, at most C(n, 2), and the store is one tuple header
+    # per node plus 8 bytes per arc.
     for r, (g, _) in zip(doc["records"], bench_instances([64, 256], seed=1)):
-        degrees = [len(g.neighbors(v)) for v in range(g.n)]
-        assert r["validate_queries"] == sum(comb(d, 2) for d in degrees if d >= 3) > 0
+        assert 0 < r["validate_queries"] == first_claw(g)[1] <= comb(g.n, 2)
         assert r["store_bytes"] == sys.getsizeof(()) * r["n"] + 16 * r["m"]
 
 

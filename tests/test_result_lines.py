@@ -33,7 +33,7 @@ ARC_LINES = Path(__file__).with_name("arc_result_lines.txt")
 
 # The adjacency queries over the whole corpus of ``mwss_alpha3``, ``find_claw``
 # and ``stable_set_min_alpha4``, in that order.
-TOTAL_QUERIES = [157_870, 6_416_030, 244_703]
+TOTAL_QUERIES = [157_870, 463_143, 244_703]
 
 
 def _ids(nodes) -> str:

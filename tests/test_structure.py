@@ -8,18 +8,23 @@ from clawmwss import (
     Claw,
     ClawWitnessError,
     Graph,
+    Optimal,
     build_graph,
     find_claw,
     generate,
+    mwss_alpha3,
 )
 from clawmwss.gen import GenSpec, SplitMix64
+from clawmwss.graph import _PairTable, asking_each_pair_once
 from clawmwss.structure import classify
 
 from helpers import (
+    bench_instances,
     complete,
     cycle,
     edge_set,
     first_claw,
+    pair_table_fits,
     random_clawfree,
     random_graph,
     star,
@@ -82,33 +87,58 @@ def test_find_claw_agrees_with_brute_force():
 
 def test_find_claw_asks_each_neighbor_pair_once():
     g, _, _ = generate(GenSpec(kind="line_graph_cover3", size=300, seed=5))
-    degrees = [len(g.neighbor_set(c)) for c in range(g.n)]
-    assert max(degrees) >= 3
+    centers = [g.neighbors(c) for c in range(g.n) if len(g.neighbors(c)) >= 3]
+    assert centers
+    pairs = {(x, y) for nbrs in centers for x in nbrs for y in nbrs if x < y}
     view = g.with_counter()
     assert find_claw(view) is None
-    assert view.counter.count == sum(comb(d, 2) for d in degrees if d >= 3)
+    # A pair that several centers share is asked once.
+    assert view.counter.count == len(pairs) == 917
+    assert len(pairs) < sum(comb(len(nbrs), 2) for nbrs in centers) == 5561
+
+
+def test_find_claw_on_a_sparse_graph_allocates_no_pair_table():
+    # 2^10 disjoint K4s: every node is a center of degree 3, and n^2 far
+    # exceeds 8m + 4n.  Today's route peaks at about 170 bytes per node;
+    # neighbour bitmasks and a pair table would take about 1,500 (6 MiB).
+    g = build_graph(1 << 12, [(4 * b + i, 4 * b + j) for b in range(1 << 10)
+                              for i in range(4) for j in range(i + 1, 4)])
+    assert not pair_table_fits(g)
+    view = g.with_counter()
+    tracemalloc.start()
+    try:
+        assert find_claw(view) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * g.n
+    assert view.counter.count == 3 * g.n
 
 
 def _same_claw_and_count(g):
+    """find_claw's (claw, queries) equal ``first_claw``'s; returns the claw
+    and whether the graph takes the pair table's route."""
     ours = g.with_counter()
     claw = find_claw(ours)
     assert (claw, ours.counter.count) == first_claw(g)
-    return claw
+    return claw, pair_table_fits(g)
 
 
 def test_find_claw_equals_first_claw_on_random_graphs():
     rng = SplitMix64(305)
-    claws = sum(
-        _same_claw_and_count(random_graph(rng, rng.randint(3, 18), rng.randint(5, 95)))
-        is not None
-        for _ in range(5000)
-    )
+    claws, dense = 0, 0
+    for _ in range(5000):
+        claw, fits = _same_claw_and_count(random_graph(rng, rng.randint(3, 18), rng.randint(5, 95)))
+        claws += claw is not None
+        dense += fits
     assert 1000 < claws < 4000
+    # Both routes run many times: 4,446 dense draws and 554 sparse ones.
+    assert 1000 < dense < 4800
 
 
 def test_find_claw_equals_first_claw_on_toggled_instances():
     rng = SplitMix64(306)
-    claws = 0
+    claws, dense = 0, 0
     for _ in range(3000):
         g, _, _ = random_clawfree(rng, 30)
         edges = edge_set(g)
@@ -116,8 +146,25 @@ def test_find_claw_equals_first_claw_on_toggled_instances():
             u = rng.below(g.n)
             v = (u + 1 + rng.below(g.n - 1)) % g.n
             edges ^= {(min(u, v), max(u, v))}
-        claws += _same_claw_and_count(build_graph(g.n, edges)) is not None
+        claw, fits = _same_claw_and_count(build_graph(g.n, edges))
+        claws += claw is not None
+        dense += fits
     assert 300 < claws < 2700
+    # 2,384 dense draws and 616 sparse ones.
+    assert 1000 < dense < 2700
+
+
+def test_a_claw_check_and_the_solve_after_it_share_one_pair_table():
+    g, weights = bench_instances([1024], seed=0)[0]
+    view = asking_each_pair_once(g.with_counter(), range(g.n))
+    assert isinstance(view, _PairTable)
+    assert asking_each_pair_once(view, range(g.n)) is view
+    assert asking_each_pair_once(view, [v for v in range(g.n) if v % 2]) is view
+    assert find_claw(view) is None
+    assert isinstance(mwss_alpha3(view, weights), Optimal)
+    # The check alone charges all C(81, 2) = 3,240 pairs here, and the
+    # solve on a table of its own 1,363 more (the bench pin).
+    assert view.counter.count <= comb(g.n, 2)
 
 
 def test_classify_c7_triple():

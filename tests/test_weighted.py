@@ -13,7 +13,7 @@ from clawmwss import (
     stable_set_min_alpha4,
 )
 from clawmwss import cardinality, graph, weighted
-from clawmwss.gen import SplitMix64, sample_spec
+from clawmwss.gen import GenSpec, SplitMix64, sample_spec
 from clawmwss.graph import Graph, induced_subgraph
 from clawmwss.oracles import (
     brute_alpha_min4,
@@ -367,6 +367,16 @@ def test_mwss_intersecting_prefers_heavy_anchor():
     mwss_small(c6, weights, range(c6.n), best)
     mwss_intersecting(c6, weights, cls, best)
     assert (best.nodes, best.weight) == ((0,), 10)
+
+
+def test_mwss_alpha3_reaches_a_corpus_optimum_that_only_mwss_intersecting_offers():
+    # Line spec6 of tests/result_lines.txt.  Its optimum meets the maximum
+    # stable triple that the cardinality phase finds, and no other search
+    # offers it: a solve that skips mwss_intersecting returns (4, 8, 11) at
+    # 231.  On C_n^k (tests/test_scaling.py) that skip changes nothing.
+    spec = GenSpec("line_graph_cover3", 24, 1, 100, seed=12453303184799048773)
+    g, weights, _ = generate(spec)
+    assert mwss_alpha3(g, weights) == Optimal(nodes=(1, 4, 11), weight=254)
 
 
 def test_anchor_classification_is_reused_exactly(monkeypatch):

@@ -10,9 +10,9 @@ child process that builds the instances once with this checkout's
 C_n^k at k = 255 with ``cycle_power_weights``, the instance
 ``tests/test_scaling.py`` pins.  The stages are the ones ``bench`` times
 at each size (generate, write, parse, solve, validate), plus the C_n^k
-solve.  The harness asks the two workers for one stage after the other,
-so the two times of a pair are taken seconds apart, and the worker that
-runs first alternates from pair to pair.  A host whose speed drifts shows
+solve and validate (``find_claw``).  The harness asks the two workers for
+one stage after the other, so the two times of a pair are taken seconds
+apart, and the worker that runs first alternates from pair to pair.  A host whose speed drifts shows
 it in the range, while the median of the per-pair ratios stays near 1 on
 two equal trees.
 
@@ -66,6 +66,7 @@ for spec in bench_specs(sizes, 0):
 g = cycle_power(k)
 weights = cycle_power_weights(g.n)
 stages[f"solve C_n^{k} m={g.m}"] = lambda: counted(mwss_alpha3, g, weights)
+stages[f"validate C_n^{k} m={g.m}"] = lambda: counted(find_claw, g)
 print(json.dumps(list(stages)), flush=True)
 for line in sys.stdin:
     print(json.dumps(stages[line.strip()]()), flush=True)
